@@ -1,42 +1,29 @@
-"""Experiment CLI: regenerate the paper's tables, figures and ablations.
+"""Experiment CLI: regenerate the paper's tables, figures and ablations,
+and run the campaign gates.
 
 Usage::
 
-    python -m repro.cli table2a [--reps 3] [--seed 42]
-    python -m repro.cli table2b
-    python -m repro.cli table2c [--families 400]
-    python -m repro.cli fig5 | fig6 | fig7 | fig8 | fig9
-    python -m repro.cli ablations
-    python -m repro.cli telemetry [--queue-depth 1] [--inject-failure] [--check] [--json]
-    python -m repro.cli chaos [--seed 42] [--seeds N] [--check] \\
-        [--no-fast-lane] [--columnar] [--json]
-    python -m repro.cli store [--topology | --drill] [--no-repair] \\
-        [--check] [--no-fast-lane] [--columnar] [--json]
-    python -m repro.cli diagnose [--seed 42] [--check] [--no-fast-lane] [--json]
-    python -m repro.cli explain [--job ID] [--seed 42] [--check] \\
-        [--no-fast-lane] [--columnar] [--json]
-    python -m repro.cli profile [--seed 42] [--json]
-    python -m repro.cli trace [--trace-id ID | --slowest N | --drops] \\
-        [--head-rate R] [--tail-latency S] [--check] [--json]
-    python -m repro.cli bench [--quick] [--check] [--json] [--out PATH]
-    python -m repro.cli fleet [--scan | --export | --catalog] [--check] [--json]
+    python -m repro.cli table2c --families 400   # any table/figure/ablation
+    python -m repro.cli chaos --seed 3 --seeds 3 --check --columnar
+    python -m repro.cli check [NAME ...]         # every gate, or the named
+    python -m repro.cli <command> --help          # a command's flags
 
-All commands print the reproduced rows/series to stdout; scale flags
-trade fidelity for wall-clock time (see EXPERIMENTS.md for the
-scale-invariance argument).
-
-Exit codes are uniform across every ``--check``-capable command:
-0 = OK, 1 = an invariant is broken (ledger violated, fault undetected,
-critical path inexact, scorecard not reconciling, catalog incomplete,
-benchmark regression), 2 = usage error (bad flags, unknown/missing
-identifiers).
+Each subcommand accepts only the flags it reads; any other flag is a
+usage error.  The campaign subcommands and ``check`` share one output
+and exit-code contract, implemented once in :mod:`repro.check`:
+``--json`` prints exactly one sorted JSON document on stdout (verdict
+lines go to stderr); exit 0 = OK, 1 = an invariant is broken, 2 =
+usage error (bad flags, unknown or missing identifiers).
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 __all__ = ["main"]
+
+_SUPPRESS = argparse.SUPPRESS
 
 
 def _print_overhead(rows: list[dict]) -> None:
@@ -48,36 +35,34 @@ def _print_overhead(rows: list[dict]) -> None:
               f"{r['dC_runtime_s']:>9.2f} {r['overhead_percent']:>8.2f}%")
 
 
-def _cmd_table2a(args) -> None:
+def _table2a(seed=42, reps=2, ranks_per_node=4) -> None:
     from repro.experiments import table2a_mpiio
 
-    cells = table2a_mpiio(seed=args.seed, reps=args.reps,
-                          ranks_per_node=args.ranks_per_node)
+    cells = table2a_mpiio(seed=seed, reps=reps, ranks_per_node=ranks_per_node)
     _print_overhead([c.as_row() for c in cells])
 
 
-def _cmd_table2b(args) -> None:
+def _table2b(seed=42, reps=2, ranks_per_node=4, particles=500_000) -> None:
     from repro.experiments import table2b_haccio
 
     cells = table2b_haccio(
-        seed=args.seed, reps=args.reps, ranks_per_node=args.ranks_per_node,
-        particle_counts=(args.particles, 2 * args.particles),
+        seed=seed, reps=reps, ranks_per_node=ranks_per_node,
+        particle_counts=(particles, 2 * particles),
     )
     _print_overhead([c.as_row() for c in cells])
 
 
-def _cmd_table2c(args) -> None:
+def _table2c(seed=42, reps=2, families=200) -> None:
     from repro.experiments import table2c_hmmer
 
-    cells = table2c_hmmer(seed=args.seed, reps=args.reps, n_families=args.families)
+    cells = table2c_hmmer(seed=seed, reps=reps, n_families=families)
     _print_overhead([c.as_row() for c in cells])
 
 
-def _cmd_fig5(args) -> None:
+def _fig5(seed=42, reps=2) -> None:
     from repro.experiments import fig5_op_counts
 
-    out = fig5_op_counts(seed=args.seed, reps=args.reps)
-    for label, counts in out.items():
+    for label, counts in fig5_op_counts(seed=seed, reps=reps).items():
         line = "  ".join(
             f"{op}={counts[op]['mean']:.0f}±{counts[op]['ci']:.1f}"
             for op in sorted(counts)
@@ -85,16 +70,16 @@ def _cmd_fig5(args) -> None:
         print(f"{label:<16} {line}")
 
 
-def _cmd_fig6(args) -> None:
+def _fig6(seed=42) -> None:
     from repro.experiments import fig6_per_node
 
-    for job_id, nodes in fig6_per_node(seed=args.seed).items():
+    for job_id, nodes in fig6_per_node(seed=seed).items():
         print(f"job {job_id}:")
         for node, ops in sorted(nodes.items()):
             print(f"  {node}: {ops}")
 
 
-def _cmd_fig7(args) -> None:
+def _fig7() -> None:
     from repro.experiments import fig7_duration_variability
 
     out = fig7_duration_variability()
@@ -105,7 +90,7 @@ def _cmd_fig7(args) -> None:
         print(f"{job:>8} {s['read']['mean']:>10.3f} {s['write']['mean']:>10.3f}{mark}")
 
 
-def _cmd_fig8(args) -> None:
+def _fig8() -> None:
     from repro.experiments import fig8_timeline
 
     tl = fig8_timeline()
@@ -116,7 +101,7 @@ def _cmd_fig8(args) -> None:
           f"reads in [{tl['t'][reads].min():.0f}, {tl['t'][reads].max():.0f}]s")
 
 
-def _cmd_fig9(args) -> None:
+def _fig9() -> None:
     from repro.experiments import fig9_grafana_series
 
     s = fig9_grafana_series(bucket_s=10.0)
@@ -125,7 +110,7 @@ def _cmd_fig9(args) -> None:
         print(f"  {op:>6}: " + " ".join(f"{v / 2**20:.0f}" for v in s[op]["bytes"]))
 
 
-def _cmd_ablations(args) -> None:
+def _ablations(families=200) -> None:
     from repro.experiments import (
         ablation_dsos_index,
         ablation_push_pull,
@@ -134,9 +119,9 @@ def _cmd_ablations(args) -> None:
     )
 
     print("== A1: JSON formatting on/off ==")
-    _print_overhead(ablation_sprintf(n_families=args.families, reps=1))
+    _print_overhead(ablation_sprintf(n_families=families, reps=1))
     print("\n== A2: n-th-event sampling ==")
-    for r in ablation_sampling(sample_every=(1, 5, 20, 100), n_families=args.families):
+    for r in ablation_sampling(sample_every=(1, 5, 20, 100), n_families=families):
         print(f"  n={r['sample_every']:<4} overhead={r['overhead_percent']:.0f}% "
               f"fidelity={r['fidelity']:.0%}")
     print("\n== A3: DSOS index choice ==")
@@ -149,1035 +134,7 @@ def _cmd_ablations(args) -> None:
               f"latency={r['mean_latency_s']:.2f}s")
 
 
-def _cmd_telemetry(args) -> None:
-    """Run a small campaign with pipeline telemetry on and report it:
-    per-stage latency histograms, drop sites, loss reconciliation."""
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.experiments.world import STREAM_TAG
-
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        forward_queue_depth=args.queue_depth,
-    ))
-    if args.inject_failure:
-        # Crash the L1 aggregator mid-run so the report has a
-        # daemon-failure drop site to attribute.
-        seen = {"n": 0}
-
-        def trip_wire(message):
-            seen["n"] += 1
-            if seen["n"] == args.fail_after:
-                world.fabric.l1.fail()
-
-        world.fabric.l1.streams.subscribe(STREAM_TAG, trip_wire)
-
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=4,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(world, app, "nfs", connector_config=ConnectorConfig())
-    if args.json:
-        import json
-
-        print(json.dumps(result.health.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(result.health.render_text())
-    if args.check and not result.health.verify():
-        print("FAIL: loss reconciliation violated "
-              "(published != stored + Σ drops + in_flight_spill)")
-        raise SystemExit(1)
-
-
-def _chaos_run(seed: int, fast: bool, columnar: bool, args):
-    """One seeded chaos campaign; returns ``(world, result, duplicates)``."""
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.faults import DaemonCrash, FaultPlan, LinkPartition, SlowStore
-    from repro.ldms.resilience import RetryPolicy
-
-    plan = FaultPlan((
-        DaemonCrash("l1", after_messages=args.fail_after, down_for=0.5),
-        LinkPartition("nid00001", "head", at=0.2, duration=0.3),
-        SlowStore(at=0.1, duration=0.4),
-    ))
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, faults=plan, retry=RetryPolicy(), standby_l1=True,
-        columnar=columnar,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    # No inter-job gap: the job starts at t=0, so the timed fault
-    # windows above land inside the I/O burst instead of before it.
-    result = run_job(world, app, "nfs",
-                     connector_config=ConnectorConfig(
-                         spill=True, fast_lane=fast, columnar=columnar),
-                     inter_job_gap_s=0.0)
-    journal = world.store.journal
-    duplicates = journal.duplicates_skipped if journal else 0
-    return world, result, duplicates
-
-
-def _cmd_chaos(args) -> None:
-    """Seeded chaos campaign against the self-healing pipeline.
-
-    Crashes the L1 aggregator mid-run (it restarts after half a
-    second), partitions one compute node's uplink, and stalls the DSOS
-    store — with every recovery path armed: spill/replay connector,
-    retry/backoff forwarders, a hot-standby L1, journaled idempotent
-    ingest.  Prints the applied-fault log and the health report; with
-    ``--check``, exits nonzero unless the ledger closes exactly.
-    ``--seeds N`` sweeps seeds ``seed .. seed+N-1`` in one process (the
-    CI smoke lane); the combined exit code fails if *any* seed does.
-    """
-    import sys
-
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro chaos: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
-    if args.seeds < 1:
-        print("repro chaos: --seeds must be >= 1", file=sys.stderr)
-        raise SystemExit(2)
-
-    seeds = range(args.seed, args.seed + args.seeds)
-    payloads = []
-    broken: list[int] = []
-    for seed in seeds:
-        world, result, duplicates = _chaos_run(seed, fast, columnar, args)
-        epoch = world.config.epoch
-        if not result.health.verify():
-            broken.append(seed)
-        if args.json:
-            payloads.append({
-                "seed": seed,
-                "fast_lane": fast,
-                "columnar": columnar,
-                "applied_faults": [
-                    {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                    for f in world.fault_injector.applied
-                ],
-                "duplicates_skipped": duplicates,
-                "health": result.health.to_dict(),
-            })
-            continue
-        if args.seeds > 1:
-            print(f"== seed {seed} ==")
-        print("== applied faults ==")
-        for fault in world.fault_injector.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
-        print(f"duplicates skipped by ingest journal: {duplicates}")
-        print()
-        print(result.health.render_text())
-        if args.seeds > 1:
-            print()
-
-    if args.json:
-        import json
-
-        # One seed keeps the original flat payload; a sweep nests them.
-        out = payloads[0] if args.seeds == 1 else {"runs": payloads}
-        print(json.dumps(out, indent=2, sort_keys=True))
-    if args.check and broken:
-        print("FAIL: unaccounted events under fault injection "
-              f"(seed(s) {', '.join(str(s) for s in broken)})")
-        raise SystemExit(1)
-    if args.check and args.seeds > 1:
-        print(f"OK: ledger exact across {args.seeds} seeds")
-
-
-def _cmd_store(args) -> None:
-    """Replicated-store resilience: topology, crash drill, census check.
-
-    Builds a sharded, quorum-replicated DSOS cluster (2 shards × 2
-    replicas, write quorum 2) and drives the chaos campaign through it.
-    ``--topology`` prints the shard layout of a clean run; ``--drill``
-    (the default) crashes one replica per shard mid-run — one with a
-    torn WAL tail — lets WAL replay and anti-entropy repair bring them
-    back, and prints the fault log, replica census and recovery ledger.
-    ``--no-repair`` disables anti-entropy (the drill then leaves
-    under-replicated objects behind — the negative control).  With
-    ``--check``, exits 1 unless the loss ledger closes exactly, the
-    census is complete (zero lost, zero under-replicated objects) and
-    every replica is back alive.
-    """
-    import sys
-
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.faults import FaultPlan, StoreCrash
-    from repro.ldms.resilience import RetryPolicy
-
-    modes = [m for m in ("topology", "drill") if getattr(args, m)]
-    if len(modes) > 1:
-        print("repro store: --topology and --drill are mutually exclusive",
-              file=sys.stderr)
-        raise SystemExit(2)
-    mode = modes[0] if modes else "drill"
-
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro store: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
-
-    plan = None
-    if mode == "drill":
-        # One replica per shard goes down mid-burst; the first loses a
-        # torn WAL tail too, so recovery must truncate and repair must
-        # re-pull.  down_for exceeds the diagnosis hold so the outage
-        # is also visible to the alerting stack when armed.
-        plan = FaultPlan((
-            StoreCrash(0, at=0.15, down_for=0.8, tear_tail=True),
-            StoreCrash(3, at=0.25, down_for=0.25),
-        ))
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar, faults=plan,
-        retry=RetryPolicy(), standby_l1=True,
-        dsos_shards=2, dsos_replication=2, dsos_write_quorum=2,
-        dsos_repair=not args.no_repair,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(world, app, "nfs",
-                     connector_config=ConnectorConfig(
-                         spill=True, fast_lane=fast, columnar=columnar),
-                     inter_job_gap_s=0.0)
-    cluster = world.dsos.cluster
-    census = cluster.census()
-    epoch = world.config.epoch
-    store_recoveries = {
-        site: n for site, n in sorted(result.health.recovery_sites().items())
-        if site[2] in ("wal_replayed", "repair_pulled", "quorum_degraded")
-    }
-
-    if args.json:
-        import json
-
-        payload = {
-            "seed": args.seed,
-            "mode": mode,
-            "fast_lane": fast,
-            "columnar": columnar,
-            "repair": not args.no_repair,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in (world.fault_injector.applied
-                          if world.fault_injector else ())
-            ],
-            "layout": cluster.shard_layout(),
-            "census": {
-                "objects": census.objects,
-                "lost": census.lost,
-                "under_replicated": census.under_replicated,
-                "replicas_down": census.replicas_down,
-                "degraded_shards": list(census.degraded_shards),
-                "complete": census.complete,
-            },
-            "store": cluster.stats_snapshot(),
-            "store_recoveries": [
-                {"stage": s, "node": n, "outcome": o, "count": c}
-                for (s, n, o), c in store_recoveries.items()
-            ],
-            "ledger_exact": result.health.verify(),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"== store topology ({cluster.shards} shard(s) x "
-              f"{cluster.replication} replica(s), "
-              f"W={cluster.write_quorum}) ==")
-        for row in cluster.shard_layout():
-            daemons = ", ".join(
-                f"{d}{'' if alive else ' (down)'} [{objs}]"
-                for d, alive, objs in
-                zip(row["daemons"], row["alive"], row["objects"])
-            )
-            print(f"  shard {row['shard']}: {daemons}")
-        if mode == "drill":
-            print("\n== applied faults ==")
-            for fault in world.fault_injector.applied:
-                print(f"  t={fault.t - epoch:9.3f}s "
-                      f"{fault.kind:<16} {fault.detail}")
-            print("\n== recovery ledger (store) ==")
-            for (stage, node, outcome), count in store_recoveries.items():
-                print(f"  {stage}/{node}: {outcome} x{count}")
-            if not store_recoveries:
-                print("  (none)")
-            snap = cluster.stats_snapshot()
-            print(f"\nwrites={snap['writes']} "
-                  f"quorum_degraded={snap['quorum_degraded_writes']} "
-                  f"rejected={snap['rejected_writes']}")
-        print(f"census: {census.objects} object(s), {census.lost} lost, "
-              f"{census.under_replicated} under-replicated, "
-              f"{census.replicas_down} replica(s) down, "
-              f"degraded shards {list(census.degraded_shards) or 'none'}")
-        print(f"ledger: {'exact' if result.health.verify() else 'VIOLATED'}")
-
-    if args.check:
-        failed = False
-        if not result.health.verify():
-            print("FAIL: loss ledger does not close under the store drill")
-            failed = True
-        if census.lost:
-            print(f"FAIL: {census.lost} object(s) lost "
-                  f"(no live copy anywhere)")
-            failed = True
-        if census.under_replicated:
-            print(f"FAIL: {census.under_replicated} object(s) "
-                  f"under-replicated after recovery"
-                  + (" (repair disabled)" if args.no_repair else ""))
-            failed = True
-        if census.replicas_down:
-            print(f"FAIL: {census.replicas_down} replica(s) still down")
-            failed = True
-        if failed:
-            raise SystemExit(1)
-        print(f"OK: census complete — every object holds quorum copies "
-              f"({census.objects} objects, ledger exact)")
-
-
-def _diagnosis_campaign(seed: int, fast: bool, faults, ranks_per_node: int):
-    """One diagnosis-armed campaign run; returns (world, result)."""
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.diagnosis import DiagnosisConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.ldms.resilience import RetryPolicy
-
-    # Cadence tuned to the sub-second fault windows of the chaos plan:
-    # 50 ms ticks, 250 ms windows, 100 ms firing hysteresis.
-    diag = DiagnosisConfig(
-        eval_period_s=0.05, window_s=0.25, for_duration_s=0.1,
-        latency_slo_s=0.25, slo_min_count=8,
-    )
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, faults=faults, retry=RetryPolicy(),
-        standby_l1=True, diagnosis=diag,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(world, app, "nfs",
-                     connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-                     inter_job_gap_s=0.0)
-    return world, result
-
-
-def _cmd_diagnose(args) -> None:
-    """Live runtime diagnosis, scored against injected ground truth.
-
-    Runs the chaos fault plan (L1 crash, link degrade, store stall)
-    with the streaming diagnosis engine armed, correlates the incident
-    log against the injector's applied-fault record, then repeats the
-    campaign *clean* (no faults) as a false-positive control.  With
-    ``--check``, exits nonzero if any injected fault class goes
-    undetected or the clean run raises any alert.
-    """
-    from repro.faults import DaemonCrash, FaultPlan, LinkDegrade, SlowStore
-    from repro.diagnosis import score_incidents
-
-    fast = not args.no_fast_lane
-    plan = FaultPlan((
-        DaemonCrash("l1", after_messages=args.fail_after, down_for=0.5),
-        LinkDegrade("nid00001", "head", at=0.2, duration=0.3, factor=50.0),
-        SlowStore(at=0.1, duration=0.4),
-    ))
-    world, result = _diagnosis_campaign(
-        args.seed, fast, plan, args.ranks_per_node)
-    epoch = world.config.epoch
-    score = score_incidents(
-        world.diagnosis.incidents, world.fault_injector.applied)
-
-    clean_world, _ = _diagnosis_campaign(
-        args.seed, fast, None, args.ranks_per_node)
-    clean_alerts = len(clean_world.diagnosis.incidents)
-
-    if args.json:
-        import json
-
-        payload = {
-            "seed": args.seed,
-            "fast_lane": fast,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in world.fault_injector.applied
-            ],
-            "incidents": [
-                a.to_dict(epoch) for a in world.diagnosis.incidents
-            ],
-            "score": score.to_dict(epoch),
-            "clean_run_alerts": clean_alerts,
-            "ledger_exact": result.health.verify(),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("== applied faults ==")
-        for fault in world.fault_injector.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
-        print()
-        print(world.diagnosis.incidents.render_text(epoch))
-        print()
-        print(score.render_text(epoch))
-        print(f"\nclean-run control: {clean_alerts} alert(s) "
-              f"({'OK' if clean_alerts == 0 else 'FALSE POSITIVES'})")
-
-    if args.check:
-        failed = False
-        if not score.ok():
-            print("FAIL: undetected fault classes: "
-                  + ", ".join(sorted(score.undetected_classes())))
-            failed = True
-        if clean_alerts:
-            print(f"FAIL: clean run raised {clean_alerts} alert(s)")
-            failed = True
-        if not result.health.verify():
-            print("FAIL: unaccounted events under fault injection")
-            failed = True
-        if failed:
-            raise SystemExit(1)
-        print("OK: every fault class detected; clean run silent")
-
-
-def _cmd_explain(args) -> None:
-    """Explainable bottleneck classification, scored against ground truth.
-
-    Runs the four-class explain chaos campaign (aggregation-trunk
-    degrade, store stall, L1 crash and replicated-store crash in
-    disjoint windows), distills the job's stored evidence into a
-    feature vector, emits scored evidence-linked bottleneck verdicts,
-    and scores the verdict classes against the injector's applied-fault
-    record; a clean rerun is the healthy-verdict control.  ``--job ID``
-    explains a specific job from the campaign world (exit 2 when the
-    id has no stored events).  With ``--check``, exits 1 unless every
-    injected fault class is classified correctly (per-class precision
-    and recall 1.0), the clean run's sole verdict is ``healthy``, and
-    the report JSON is byte-stable — on both the slow and columnar
-    lanes.
-    """
-    import json as _json
-    import sys
-
-    from repro.diagnosis.explain import (
-        check_explain,
-        explain_campaign,
-        explain_job,
-        score_verdicts,
-    )
-
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro explain: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
-
-    if args.check:
-        ok, lines = check_explain(args.seed)
-        for line in lines:
-            print(line)
-        if not ok:
-            raise SystemExit(1)
-        print("OK: every fault class classified, clean run healthy, "
-              "reports byte-stable on the slow and columnar lanes")
-        return
-
-    campaign = explain_campaign(args.seed, fast=fast, columnar=columnar)
-    epoch = campaign.epoch
-    report = campaign.report
-    if args.job is not None and args.job != report.job_id:
-        if not list(campaign.world.query_job(args.job)):
-            print(f"repro explain: no stored events for job {args.job} "
-                  f"(this campaign's job: {report.job_id})",
-                  file=sys.stderr)
-            raise SystemExit(2)  # unknown identifier = usage error
-        report = explain_job(campaign.world, args.job)
-    score = score_verdicts(report.verdicts, campaign.applied)
-
-    clean = explain_campaign(args.seed, fast=fast, columnar=columnar,
-                             faults=None)
-
-    if args.json:
-        payload = {
-            "seed": args.seed,
-            "fast_lane": fast,
-            "columnar": columnar,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in campaign.applied
-            ],
-            "report": report.to_dict(epoch),
-            "score": score.to_dict(),
-            "clean_primary": clean.report.primary.cls,
-            "clean_healthy": clean.report.healthy,
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("== applied faults ==")
-        for fault in campaign.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
-        print()
-        print(report.render_text(epoch))
-        print()
-        print(score.render_text())
-        print(f"\nclean-run control: primary verdict "
-              f"{clean.report.primary.cls!r} "
-              f"({'OK' if clean.report.healthy else 'NOT HEALTHY'})")
-
-
-def _cmd_profile(args) -> None:
-    """Sim-time profiler: where simulated seconds go in the pipeline.
-
-    Runs a small telemetry-enabled campaign and attributes every stored
-    message's end-to-end latency across pipeline components (connector,
-    bus, forwarders, store), with the residual reported explicitly so
-    the components reconcile exactly against the end-to-end totals.
-    """
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.sim import PipelineProfile
-
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=not args.no_fast_lane,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=4,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    run_job(world, app, "nfs", connector_config=ConnectorConfig())
-    profile = PipelineProfile.from_collector(world.telemetry)
-    if args.json:
-        import json
-
-        print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(profile.render_text())
-    if not profile.reconciles():
-        print("FAIL: profiled component seconds do not reconcile with "
-              "end-to-end totals")
-        raise SystemExit(1)
-
-
-def _cmd_trace(args) -> None:
-    """Trace drill-down over the seeded chaos campaign.
-
-    Runs the chaos fault plan (L1 crash + restart, link partition,
-    slow store) with every recovery path armed and span-tree retention
-    governed by ``--head-rate`` / ``--tail-latency``, then renders the
-    selected traces as critical-path waterfalls plus the campaign
-    rollup.  ``--trace-id`` drills into one message, ``--drops`` lists
-    retained dropped traces, ``--slowest N`` (the default view) shows
-    the N slowest stored ones.  With ``--check``, exits nonzero unless
-    every retained stored trace's critical path sums *exactly* to its
-    end-to-end latency and the rollup reconciles with the sim-time
-    profile.
-    """
-    from repro.apps import MpiIoTest
-    from repro.core import ConnectorConfig
-    from repro.experiments import World, WorldConfig, run_job
-    from repro.faults import DaemonCrash, FaultPlan, LinkPartition, SlowStore
-    from repro.ldms.resilience import RetryPolicy
-    from repro.sim import PipelineProfile
-    from repro.telemetry.spans import TelemetryConfig, critical_path
-    from repro.webservices.tracing import render_waterfall
-
-    fast = not args.no_fast_lane
-    plan = FaultPlan((
-        DaemonCrash("l1", after_messages=args.fail_after, down_for=0.5),
-        LinkPartition("nid00001", "head", at=0.2, duration=0.3),
-        SlowStore(at=0.1, duration=0.4),
-    ))
-    policy = TelemetryConfig(
-        head_sample_rate=args.head_rate, tail_latency_s=args.tail_latency,
-    )
-    world = World(WorldConfig(
-        seed=args.seed, quiet=True, n_compute_nodes=4, telemetry=policy,
-        fast_lane=fast, faults=plan, retry=RetryPolicy(), standby_l1=True,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=args.ranks_per_node, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    run_job(world, app, "nfs",
-            connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-            inter_job_gap_s=0.0)
-    registry = world.trace_registry()
-    rollup = registry.rollup()
-    profile = PipelineProfile.from_registry(registry)
-
-    if args.trace_id is not None:
-        tree = registry.get(args.trace_id)
-        if tree is None:
-            print(f"trace {args.trace_id!r} not retained "
-                  f"({len(registry)} of {registry.offered} kept; "
-                  f"raise --head-rate to retain more)")
-            raise SystemExit(2)  # unknown identifier = usage error
-        selected = [tree]
-    elif args.drops:
-        selected = registry.drops()
-    else:
-        selected = registry.slowest(args.slowest)
-
-    if args.json:
-        import json
-
-        payload = {
-            "seed": args.seed,
-            "fast_lane": fast,
-            "registry": registry.to_dict(),
-            "rollup": rollup.to_dict(),
-            "rollup_reconciles_with_profile": rollup.reconciles_with(profile),
-            "traces": [
-                {
-                    **tree.to_dict(),
-                    "critical_path": critical_path(tree).to_dict(),
-                }
-                for tree in selected
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        reg = registry.to_dict()
-        print(f"retained {reg['retained']} of {reg['offered']} traces "
-              f"(head {reg['head_kept']}, tail {reg['tail_kept']}; "
-              f"head_rate={reg['head_sample_rate']})")
-        print()
-        for tree in selected:
-            print(render_waterfall(tree))
-            print()
-        if not selected:
-            print("(no matching traces retained)")
-            print()
-        print(rollup.render_text())
-
-    if args.check:
-        inexact = [
-            tree.trace_id
-            for tree in registry.trees.values()
-            if tree.status == "stored" and not critical_path(tree).exact
-        ]
-        failed = False
-        if inexact:
-            print(f"FAIL: critical path != end-to-end latency for "
-                  f"{len(inexact)} trace(s): {', '.join(inexact[:5])}")
-            failed = True
-        if not rollup.reconciles_with(profile):
-            print("FAIL: critical-path rollup does not reconcile with the "
-                  "sim-time profile")
-            failed = True
-        if not profile.reconciles():
-            print("FAIL: sim-time profile does not reconcile with its own "
-                  "end-to-end totals")
-            failed = True
-        if failed:
-            raise SystemExit(1)
-        print(f"OK: {rollup.messages} critical paths exact; "
-              f"rollup reconciles with profile")
-
-
-def _cmd_bench(args) -> None:
-    """Tracked pipeline benchmark: slow vs fast vs columnar, one process.
-
-    Writes ``benchmarks/BENCH_pipeline.json`` (or ``--out``).  With
-    ``--json``, prints the result payload as sorted JSON on stdout
-    (diagnostics go to stderr) and writes a dated snapshot under
-    ``benchmarks/results/`` instead of touching the tracked file.  With
-    ``--check``, compares the measured lane speedups against the
-    committed file and exits nonzero on a >25 % regression — the
-    ratios, not the walls, so the check is machine-independent — and
-    likewise fails any lane whose peak RSS regressed >25 % over the
-    committed per-lane peak (skipped where the kernel offers no
-    per-lane watermark reset).
-    """
-    import json
-    import sys
-    from pathlib import Path
-
-    from repro.experiments.bench import (
-        DEFAULT_RESULT_PATH,
-        LANES,
-        pipeline_benchmark,
-        snapshot_path,
-    )
-
-    result = pipeline_benchmark(quick=args.quick, seed=args.seed)
-    log = sys.stderr if args.json else sys.stdout
-    if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-        snap = snapshot_path()
-        snap.parent.mkdir(parents=True, exist_ok=True)
-        snap.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {snap}", file=log)
-    else:
-        print(f"campaign: hmmer families={result['campaign']['n_families']} "
-              f"rpn=8 nodes=2 seed={args.seed} (quick={args.quick})")
-        for lane in LANES:
-            r = result[lane]
-            print(f"  {lane:<8} wall={r['wall_s']:>7.2f}s "
-                  f"events/s={r['events_per_sec']:>8.1f} "
-                  f"engine_events={r['engine_events']} "
-                  f"peak_rss_kib={r['peak_rss_kib']}")
-        spine = result["columnar"].get("spine")
-        if spine:
-            print(f"  spine: {spine['record_batches']} record batches, "
-                  f"mean {spine['mean_batch_rows']:.1f} rows "
-                  f"(max {spine['max_batch_rows']}), "
-                  f"{spine['ingest_flushes']} ingest flushes, "
-                  f"{spine['dearms']} de-arms")
-        print(f"  speedup (events/s, fast vs slow): "
-              f"{result['speedup_events_per_sec']:.2f}x")
-        print(f"  speedup (events/s, columnar vs fast): "
-              f"{result['speedup_columnar_vs_fast']:.2f}x "
-              f"(vs slow: {result['speedup_columnar_vs_slow']:.2f}x)")
-        if result["speedup_vs_fast_baseline"]:
-            print(f"  columnar vs recorded fast-lane baseline: "
-                  f"{result['speedup_vs_fast_baseline']:.2f}x")
-        if result["speedup_vs_seed_baseline"]:
-            print(f"  columnar vs pre-optimization baseline: "
-                  f"{result['speedup_vs_seed_baseline']:.2f}x")
-
-    committed_path = Path(args.out) if args.out else DEFAULT_RESULT_PATH
-    if args.check:
-        committed = json.loads(committed_path.read_text())
-        failed = False
-        for key in ("speedup_events_per_sec", "speedup_columnar_vs_slow"):
-            if key not in committed:
-                continue
-            floor = committed[key] * 0.75
-            if result[key] < floor:
-                print(f"FAIL: {key} {result[key]:.2f}x regressed below 75% "
-                      f"of committed {committed[key]:.2f}x", file=log)
-                failed = True
-        for lane in LANES:
-            mine, theirs = result[lane], committed.get(lane)
-            if (
-                theirs is None
-                or not mine.get("peak_rss_resettable")
-                or not theirs.get("peak_rss_resettable")
-            ):
-                continue
-            ceiling = theirs["peak_rss_kib"] * 1.25
-            if mine["peak_rss_kib"] > ceiling:
-                print(f"FAIL: {lane} lane peak RSS {mine['peak_rss_kib']} KiB "
-                      f"regressed >25% over committed "
-                      f"{theirs['peak_rss_kib']} KiB", file=log)
-                failed = True
-        if failed:
-            raise SystemExit(1)
-        print("OK: lane speedups and peak RSS within 25% of committed",
-              file=log)
-    elif not args.json:
-        committed_path.parent.mkdir(parents=True, exist_ok=True)
-        committed_path.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"wrote {committed_path}")
-
-
-def _cmd_fleet(args) -> None:
-    """Fleet health console: probe scans, scorecards, signal catalog.
-
-    Default mode (``--scan``) scans the demo fleet — two clean clusters
-    plus one with an injected L1 crash and slow-store episode — and
-    renders the console: the fleet readiness table, each cluster's
-    scorecard/probe/incident drill-down, and the signal catalog.
-    ``--export`` prints the scan as an OpenMetrics text exposition;
-    ``--catalog`` prints just the catalog page.  All three honour
-    ``--json`` (byte-stable sorted payloads).  With ``--check``: scan
-    mode exits 1 unless every scorecard reconciles exactly and the
-    chaos cluster's faults show up in the matching components; catalog
-    and export modes exit 1 if any emitted signal is missing from the
-    catalog.  Mode flags are mutually exclusive (usage error, exit 2).
-    """
-    import json as _json
-    import sys
-
-    modes = [m for m in ("scan", "export", "catalog") if getattr(args, m)]
-    if len(modes) > 1:
-        print(f"repro fleet: --{modes[0]} and --{modes[1]} are mutually "
-              f"exclusive", file=sys.stderr)
-        raise SystemExit(2)
-    mode = modes[0] if modes else "scan"
-
-    from repro.diagnosis.signals import default_catalog
-
-    catalog = default_catalog()
-
-    if mode == "catalog":
-        if args.json:
-            print(_json.dumps(catalog.to_dict(), indent=2, sort_keys=True))
-        else:
-            from repro.webservices.console import FleetConsole
-            from repro.webservices.grafana import render_ascii
-
-            # No scan needed for the catalog page: an empty report.
-            console = FleetConsole((), catalog)
-            for panel in console.catalog_panels():
-                print(render_ascii(panel, width=100))
-        if args.check and not catalog.complete():
-            print("FAIL: signals missing from the catalog: "
-                  + ", ".join(catalog.missing()))
-            raise SystemExit(1)
-        if args.check:
-            print(f"OK: catalog complete ({len(catalog)} signals)")
-        return
-
-    from repro.fleet import scan_fleet
-
-    fast = not args.no_fast_lane
-    report = scan_fleet(fast_lane=fast)
-
-    if mode == "export":
-        from repro.telemetry import render_openmetrics
-
-        text = render_openmetrics(report, catalog)
-        print(text, end="")
-        if args.check:
-            failed = False
-            if "(uncatalogued)" in text:
-                print("FAIL: export contains uncatalogued families",
-                      file=sys.stderr)
-                failed = True
-            if not catalog.complete():
-                print("FAIL: signals missing from the catalog: "
-                      + ", ".join(catalog.missing()), file=sys.stderr)
-                failed = True
-            if failed:
-                raise SystemExit(1)
-            print("OK: every exported family catalogued", file=sys.stderr)
-        return
-
-    # -- scan (default) ------------------------------------------------
-    if args.json:
-        print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        from repro.webservices.console import FleetConsole
-
-        print(FleetConsole(report, catalog).render_text())
-
-    if args.check:
-        failed = False
-        bad = [c.name for c in report if not c.score.reconciles()]
-        if bad:
-            print("FAIL: scorecard does not reconcile "
-                  "(Σ deductions != 100 - score) for: " + ", ".join(bad))
-            failed = True
-        # The chaos cluster's injected faults must register in the
-        # matching scorecard components.
-        for cluster in report:
-            if cluster.spec.faults is None:
-                continue
-            if cluster.score.component("probes").deduction == 0:
-                print(f"FAIL: {cluster.name}: injected daemon crash left "
-                      f"the probes component untouched")
-                failed = True
-            if cluster.score.component("store").deduction == 0:
-                print(f"FAIL: {cluster.name}: injected slow store left "
-                      f"the store component untouched")
-                failed = True
-            if cluster.score.ready:
-                print(f"FAIL: {cluster.name}: chaos cluster still "
-                      f"reports ready")
-                failed = True
-        if failed:
-            raise SystemExit(1)
-        print(f"OK: {len(report)} scorecards reconcile exactly; "
-              f"chaos faults deducted via matching components")
-
-
-def _cmd_forensics(args) -> None:
-    """Black-box flight recorder: capture, timelines, bundle diffs.
-
-    Default mode (``--capture``) runs the chaos campaign with the
-    flight recorder armed and prints the frozen forensic bundles, ring
-    ledgers and fault-class evidence matches.  ``--show ID``
-    reconstructs one bundle's merged cross-layer timeline; ``--diff A
-    B`` compares two bundles (the clean control run freezes a
-    whole-run snapshot under the id ``clean-0``) and reports which
-    streams diverged first.  All modes honour ``--json`` (byte-stable
-    sorted payloads).  With ``--check``, capture mode reruns the
-    campaign on the slow and columnar lanes and exits 1 unless every
-    injected fault class produced at least one bundle whose evidence
-    names a detecting signal, every ring reconciles ``captured ==
-    retained + evicted``, and bundle JSON is byte-stable across
-    repeated same-seed runs.
-    """
-    import json as _json
-    import sys
-
-    from repro.diagnosis.forensics import (
-        capture_campaign,
-        check_forensics,
-        diff_bundles,
-        diff_panel,
-        match_bundles,
-        timeline_panel,
-    )
-
-    modes = [m for m in ("capture", "show", "diff") if getattr(args, m)]
-    if len(modes) > 1:
-        print(f"repro forensics: --{modes[0]} and --{modes[1]} are "
-              f"mutually exclusive", file=sys.stderr)
-        raise SystemExit(2)
-    mode = modes[0] if modes else "capture"
-
-    fast = not args.no_fast_lane
-    columnar = args.columnar
-    if columnar and not fast:
-        print("repro forensics: --columnar requires the fast lane "
-              "(drop --no-fast-lane)", file=sys.stderr)
-        raise SystemExit(2)
-
-    if mode == "show":
-        cap = capture_campaign(args.seed, fast=fast, columnar=columnar,
-                               fail_after=args.fail_after)
-        bundle = cap.find(args.show)
-        if bundle is None:
-            frozen = ", ".join(b.bundle_id for b in cap.bundles) or "(none)"
-            print(f"repro forensics: no bundle {args.show!r} "
-                  f"(frozen this run: {frozen})", file=sys.stderr)
-            raise SystemExit(2)  # unknown identifier = usage error
-        if args.json:
-            print(_json.dumps(bundle.to_dict(), indent=2, sort_keys=True))
-        else:
-            from repro.webservices.grafana import render_ascii
-
-            print(render_ascii(timeline_panel(bundle), width=110))
-            evidence = bundle.evidence
-            print("evidence links:")
-            print("  rules:     " + (", ".join(evidence["rules"]) or "-"))
-            print("  signals:   " + (", ".join(evidence["signals"]) or "-"))
-            print("  incidents: " + (", ".join(
-                str(i) for i in evidence["incidents"]) or "-"))
-            print(f"  traces:    {evidence['trace_id_count']} distinct "
-                  f"id(s), {len(evidence['trace_ids'])} listed")
-        return
-
-    if mode == "diff":
-        a_id, b_id = args.diff
-        faulted = capture_campaign(args.seed, fast=fast, columnar=columnar,
-                                   fail_after=args.fail_after)
-        clean = capture_campaign(args.seed, fast=fast, columnar=columnar,
-                                 faults=None, snapshot_id="clean-0")
-
-        def find(bundle_id):
-            found = faulted.find(bundle_id)
-            return found if found is not None else clean.find(bundle_id)
-
-        a, b = find(a_id), find(b_id)
-        if a is None or b is None:
-            missing = [i for i, bb in ((a_id, a), (b_id, b)) if bb is None]
-            known = [x.bundle_id for x in (*faulted.bundles, *clean.bundles)]
-            print(f"repro forensics: unknown bundle(s) "
-                  f"{', '.join(missing)} (known: {', '.join(known)})",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        diff = diff_bundles(a, b)
-        if args.json:
-            print(_json.dumps(diff.to_dict(), indent=2, sort_keys=True))
-        else:
-            from repro.webservices.grafana import render_ascii
-
-            print(render_ascii(diff_panel(diff), width=110))
-            first = diff.first
-            if first is None:
-                print("no divergence inside the window overlap")
-            else:
-                print(f"first divergence: stream {first.stream!r} at "
-                      f"t={first.t:.3f}s")
-        return
-
-    # -- capture (default) ---------------------------------------------
-    cap = capture_campaign(args.seed, fast=fast, columnar=columnar,
-                           fail_after=args.fail_after)
-    recorder = cap.recorder
-    epoch = cap.epoch
-    matches = match_bundles(cap.applied, cap.bundles, epoch)
-
-    if args.json:
-        payload = {
-            "seed": args.seed,
-            "fast_lane": fast,
-            "columnar": columnar,
-            "applied_faults": [
-                {"t": f.t - epoch, "kind": f.kind, "detail": f.detail}
-                for f in cap.applied
-            ],
-            "bundles": [b.to_dict() for b in cap.bundles],
-            "recorder": recorder.stats(),
-            "reconciles": recorder.reconciles(),
-            "matches": {
-                cls: match.to_dict() for cls, match in sorted(matches.items())
-            },
-            "archive_bytes": len(recorder.log.to_bytes()),
-        }
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("== applied faults ==")
-        for fault in cap.applied:
-            print(f"  t={fault.t - epoch:9.3f}s "
-                  f"{fault.kind:<16} {fault.detail}")
-        print("\n== frozen bundles ==")
-        if not cap.bundles:
-            print("  (none)")
-        for bundle in cap.bundles:
-            evidence = bundle.evidence
-            print(f"  {bundle.bundle_id:<6} "
-                  f"{bundle.trigger_kind}({bundle.trigger_detail}) "
-                  f"t={bundle.t_trigger:7.3f}s "
-                  f"window [{bundle.window[0]:.3f}, {bundle.window[1]:.3f}] "
-                  f"{bundle.n_records():>4} records, "
-                  f"{len(evidence['rules'])} rule(s), "
-                  f"{len(evidence['signals'])} signal(s), "
-                  f"{evidence['trace_id_count']} trace(s)")
-        print("\n== rings (captured == retained + evicted) ==")
-        print(f"  {'stream':<10} {'captured':>9} {'evicted':>8} "
-              f"{'retained':>9}  ok")
-        for name, ring in recorder.rings.items():
-            print(f"  {name:<10} {ring.captured:>9} {ring.evicted:>8} "
-                  f"{ring.retained:>9}  "
-                  f"{'yes' if ring.reconciles() else 'NO'}")
-        print("\n== fault-class evidence matches ==")
-        for cls, match in sorted(matches.items()):
-            if match.bundles:
-                listing = ", ".join(
-                    f"{bid} [{', '.join(signals)}]"
-                    for bid, signals in sorted(match.bundles.items())
-                )
-            else:
-                listing = "UNMATCHED"
-            print(f"  {cls:<16} {listing}")
-        print(f"\nrecorder: {recorder.bundles_frozen} bundle(s) frozen, "
-              f"{recorder.bundle_bytes} archive byte(s), "
-              f"{recorder.triggers_dropped} trigger(s) dropped")
-
-    if args.check:
-        ok, lines = check_forensics(args.seed)
-        for line in lines:
-            print(line)
-        if not ok:
-            raise SystemExit(1)
-        print("OK: every fault class matched a bundle naming its signal "
-              "on both lanes; rings reconcile; bundles byte-stable")
-
-
-def _cmd_report(args) -> None:
+def _report() -> None:
     from pathlib import Path
 
     from repro.experiments.report import generate_report
@@ -1186,137 +143,209 @@ def _cmd_report(args) -> None:
     print(generate_report(results_dir))
 
 
-_COMMANDS = {
-    "bench": _cmd_bench,
-    "chaos": _cmd_chaos,
-    "diagnose": _cmd_diagnose,
-    "explain": _cmd_explain,
-    "fleet": _cmd_fleet,
-    "forensics": _cmd_forensics,
-    "profile": _cmd_profile,
-    "report": _cmd_report,
-    "store": _cmd_store,
-    "trace": _cmd_trace,
-    "table2a": _cmd_table2a,
-    "table2b": _cmd_table2b,
-    "table2c": _cmd_table2c,
-    "fig5": _cmd_fig5,
-    "fig6": _cmd_fig6,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "fig9": _cmd_fig9,
-    "ablations": _cmd_ablations,
-    "telemetry": _cmd_telemetry,
-}
+class _Pick(argparse.Action):
+    """One of several flags choosing a value for a shared ``dest`` (the
+    lane, or a subcommand's mode).  A second, different choice is a
+    usage error; a valued flag (``--show ID``) also stores its value
+    under the chosen name."""
+
+    def __init__(self, option_strings, dest, const, nargs=0,
+                 conflict="{prior} and {flag} are mutually exclusive", **kw):
+        super().__init__(option_strings, dest, nargs=nargs, const=const, **kw)
+        self.conflict = conflict
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        prior = getattr(namespace, self.dest, None)
+        if prior not in (None, self.const):
+            raise argparse.ArgumentError(self, self.conflict.format(
+                prior=f"--{prior}", flag=option_string))
+        setattr(namespace, self.dest, self.const)
+        if self.nargs != 0:
+            setattr(namespace, self.const, values)
+
+
+def _flag(*names, parents=(), **kw) -> argparse.ArgumentParser:
+    """A parent parser holding one flag (plus ``parents``' flags).
+
+    Nothing defaults: a flag that is not given is absent from the
+    parsed namespace, so each gate function's keyword defaults are the
+    only defaults.
+    """
+    parser = argparse.ArgumentParser(add_help=False, parents=parents,
+                                     argument_default=_SUPPRESS)
+    parser.add_argument(*names, **kw)
+    return parser
+
+
+_NO_COLUMNAR = "--columnar requires the fast lane (drop --no-fast-lane)"
+_SEED = _flag("--seed", type=int, help="campaign seed (default 42)")
+_RPN = _flag("--ranks-per-node", type=int, help="MPI ranks per node")
+_REPS = _flag("--reps", type=int, help="repetitions (default 2)")
+_FAMILIES = _flag("--families", type=int,
+                  help="HMMER Pfam families (scaled input, default 200)")
+_FAIL_AFTER = _flag("--fail-after", type=int,
+                    help="messages seen at L1 before the crash (default 50)")
+_JSON = _flag("--json", action="store_true",
+              help="sorted, byte-stable JSON on stdout")
+_CHECK = _flag("--check", action="store_true",
+               help="verify the gate's invariants; exit 1 if any is broken")
+_SLOW = _flag("--no-fast-lane", action=_Pick, dest="lane", const="slow",
+              conflict=_NO_COLUMNAR,
+              help="per-message reference path instead of the fast lane")
+_LANES = _flag("--columnar", action=_Pick, dest="lane", const="columnar",
+               conflict=_NO_COLUMNAR, parents=[_SLOW],
+               help="arm the columnar record-batch lane (bit-identical)")
+
+
+def _modes(*names):
+    """Mutually exclusive ``--<name>`` mode flags; the first is the
+    default."""
+    return [_flag(f"--{n}", action=_Pick, dest="mode", const=n,
+                  help=f"{n} mode" + (" (default)" if n == names[0] else ""))
+            for n in names]
+
+
+def _parser() -> argparse.ArgumentParser:
+    from repro import __version__
+    from repro.check import GATES, run_gates
+
+    g = "repro.experiments.gates:"  # resolved only when the command runs
+
+    parser = argparse.ArgumentParser(
+        prog="repro", description="Regenerate the paper's tables and figures.")
+    parser.add_argument("--version", action="version",
+                        version=f"repro {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, run, *parents, help, **defaults):
+        sub.add_parser(name, parents=parents, help=help,
+                       argument_default=_SUPPRESS).set_defaults(run=run,
+                                                                **defaults)
+
+    add("table2a", _table2a, _SEED, _RPN, _REPS,
+        help="Table IIa: MPI-IO-TEST overhead")
+    add("table2b", _table2b, _SEED, _RPN, _REPS, _flag(
+        "--particles", type=int, help="HACC particles per rank (scaled)"),
+        help="Table IIb: HACC-IO overhead")
+    add("table2c", _table2c, _SEED, _REPS, _FAMILIES,
+        help="Table IIc: HMMER overhead")
+    add("fig5", _fig5, _SEED, _REPS, help="Fig. 5: operation counts")
+    add("fig6", _fig6, _SEED, help="Fig. 6: operations per node")
+    add("fig7", _fig7, help="Fig. 7: per-job duration variability")
+    add("fig8", _fig8, help="Fig. 8: one job's I/O timeline")
+    add("fig9", _fig9, help="Fig. 9: Grafana throughput series")
+    add("report", _report, help="experiment report from benchmarks/results")
+    add("ablations", _ablations, _FAMILIES,
+        help="formatting, sampling, index and push/pull ablations")
+
+    add("telemetry", g + "telemetry", _SEED, _RPN, _FAIL_AFTER, _JSON, _CHECK,
+        _flag("--queue-depth", type=int,
+              help="forward-outbox depth (small = overflow)"),
+        _flag("--inject-failure", action="store_true",
+              help="crash the L1 aggregator mid-run"),
+        help="pipeline telemetry and loss reconciliation")
+    add("chaos", g + "chaos", _SEED, _RPN, _FAIL_AFTER, _LANES, _JSON, _CHECK,
+        _flag("--seeds", type=int, help="sweep this many consecutive seeds "
+              "starting at --seed in one process"),
+        help="seeded chaos campaign against the self-healing pipeline")
+    add("store", g + "store", _SEED, _RPN, _LANES, _JSON, _CHECK,
+        *_modes("drill", "topology"),
+        _flag("--no-repair", action="store_false", dest="repair",
+              help="disable anti-entropy repair (negative control)"),
+        help="replicated-store topology and crash drill")
+    add("diagnose", g + "diagnose", _SEED, _RPN, _FAIL_AFTER, _SLOW, _JSON,
+        _CHECK, help="live diagnosis scored against injected faults")
+    add("explain", g + "explain", _SEED, _LANES, _JSON, _CHECK,
+        _flag("--job", type=int, help="job id to explain (default: the "
+              "campaign's own job)"),
+        help="bottleneck verdicts scored against injected faults")
+    # profile always verifies its reconciliation.
+    add("profile", g + "profile", _SEED, _RPN, _SLOW, _JSON, check=True,
+        help="sim-time profile of the pipeline")
+    add("trace", g + "trace", _SEED, _RPN, _FAIL_AFTER, _SLOW, _JSON, _CHECK,
+        _flag("--trace-id", help="drill into one retained trace id"),
+        _flag("--slowest", type=int,
+              help="show the N slowest stored traces (default 5)"),
+        _flag("--drops", action="store_true",
+              help="show retained dropped traces"),
+        _flag("--head-rate", type=float,
+              help="deterministic head-sampling rate (1.0 = keep all)"),
+        _flag("--tail-latency", type=float, help="always retain stored "
+              "traces at least this slow (seconds)"),
+        help="span trees and critical paths under chaos")
+    add("bench", g + "bench", _SEED, _JSON, _CHECK,
+        _flag("--quick", action="store_true", help="reduced campaign for CI"),
+        _flag("--out", help="tracked result path (default "
+              "benchmarks/BENCH_pipeline.json)"),
+        help="pipeline lane benchmark (slow, fast, columnar)")
+    add("fleet", g + "fleet", _SLOW, _JSON, _CHECK,
+        *_modes("scan", "export", "catalog"),
+        help="fleet health console, OpenMetrics export, signal catalog")
+    add("forensics", g + "forensics", _SEED, _FAIL_AFTER, _LANES, _JSON,
+        _CHECK, *_modes("capture"),
+        _flag("--show", action=_Pick, dest="mode", const="show", nargs=None,
+              metavar="BUNDLE", help="one frozen bundle's timeline"),
+        _flag("--diff", action=_Pick, dest="mode", const="diff", nargs=2,
+              metavar=("A", "B"), help="diff two bundles (faulted-run ids "
+              "or the clean-run snapshot 'clean-0')"),
+        help="flight-recorder capture, timelines, bundle diffs")
+
+    names = sorted({gate.name for gate in GATES})
+
+    def gate_name(name):
+        if name not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown gate {name!r} (choose from {', '.join(names)})")
+        return name
+
+    add("check", run_gates, _JSON, _flag(
+        "names", nargs="*", default=(), metavar="NAME", type=gate_name,
+        help="gates to run (default: all): " + ", ".join(names)),
+        check=True, help="run every registered gate, or the named ones")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro.cli`` / ``repro-experiments``."""
-    from repro import __version__
+    from repro.check import Check, UsageError, call, emit, resolve
 
-    parser = argparse.ArgumentParser(
-        prog="repro", description="Regenerate the paper's tables and figures."
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"repro {__version__}")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--reps", type=int, default=2)
-    parser.add_argument("--ranks-per-node", type=int, default=4)
-    parser.add_argument("--families", type=int, default=200,
-                        help="HMMER Pfam families (scaled input)")
-    parser.add_argument("--particles", type=int, default=500_000,
-                        help="HACC particles per rank (scaled input)")
-    parser.add_argument("--queue-depth", type=int, default=65536,
-                        help="telemetry: forward-outbox depth (small = overflow)")
-    parser.add_argument("--inject-failure", action="store_true",
-                        help="telemetry: crash the L1 aggregator mid-run")
-    parser.add_argument("--fail-after", type=int, default=50,
-                        help="telemetry/chaos: messages seen at L1 before "
-                             "the crash")
-    parser.add_argument("--seeds", type=int, default=1,
-                        help="chaos: sweep this many consecutive seeds "
-                             "starting at --seed in one process")
-    parser.add_argument("--topology", action="store_true",
-                        help="store: print the shard/replica layout of a "
-                             "clean replicated run")
-    parser.add_argument("--drill", action="store_true",
-                        help="store: run the crash/recovery drill against "
-                             "the replicated store (the default mode)")
-    parser.add_argument("--no-repair", action="store_true",
-                        help="store: disable anti-entropy repair (negative "
-                             "control; --check then fails)")
-    parser.add_argument("--no-fast-lane", action="store_true",
-                        help="chaos/diagnose/explain/profile/store: "
-                             "per-message reference path instead of the "
-                             "batched fast lane")
-    parser.add_argument("--columnar", action="store_true",
-                        help="chaos/explain: arm the columnar record-batch "
-                             "lane (the express spine stands down under "
-                             "faults; results are bit-identical to the fast "
-                             "lane)")
-    parser.add_argument("--json", action="store_true",
-                        help="telemetry/chaos/diagnose/profile: machine-"
-                             "readable JSON instead of the text report")
-    parser.add_argument("--quick", action="store_true",
-                        help="bench: reduced campaign for CI smoke runs")
-    parser.add_argument("--job", type=int, default=None,
-                        help="explain: job id to explain (default: the "
-                             "campaign's own job)")
-    parser.add_argument("--trace-id", default=None,
-                        help="trace: drill into one retained trace id")
-    parser.add_argument("--slowest", type=int, default=5,
-                        help="trace: show the N slowest stored traces")
-    parser.add_argument("--drops", action="store_true",
-                        help="trace: show retained dropped traces instead")
-    parser.add_argument("--scan", action="store_true",
-                        help="fleet: scan the demo fleet and render the "
-                             "console (the default mode)")
-    parser.add_argument("--export", action="store_true",
-                        help="fleet: print the scan as an OpenMetrics text "
-                             "exposition")
-    parser.add_argument("--catalog", action="store_true",
-                        help="fleet: print the signal catalog page only")
-    parser.add_argument("--capture", action="store_true",
-                        help="forensics: run the chaos capture campaign and "
-                             "print the frozen bundles (the default mode)")
-    parser.add_argument("--show", default=None, metavar="BUNDLE",
-                        help="forensics: reconstruct one frozen bundle's "
-                             "cross-layer timeline by id (e.g. fb-0)")
-    parser.add_argument("--diff", nargs=2, default=None, metavar=("A", "B"),
-                        help="forensics: diff two bundles — faulted-run ids "
-                             "plus the clean-run snapshot 'clean-0'")
-    parser.add_argument("--head-rate", type=float, default=1.0,
-                        help="trace: deterministic head-sampling rate "
-                             "(1.0 = keep every trace)")
-    parser.add_argument("--tail-latency", type=float, default=None,
-                        help="trace: always retain stored traces at least "
-                             "this slow (seconds)")
-    parser.add_argument("--check", action="store_true",
-                        help="telemetry/chaos: exit nonzero when loss "
-                             "reconciliation fails; diagnose: exit nonzero "
-                             "when a fault class goes undetected or the "
-                             "clean run false-positives; trace: exit nonzero "
-                             "unless every retained critical path sums "
-                             "exactly to its end-to-end latency; bench: exit "
-                             "nonzero on a >25%% speedup regression vs the "
-                             "committed result; fleet: exit nonzero unless "
-                             "every scorecard reconciles exactly (scan) or "
-                             "the signal catalog is complete "
-                             "(catalog/export); store: exit nonzero on any "
-                             "lost or under-replicated object; forensics: "
-                             "exit nonzero unless every fault class matches "
-                             "a bundle, rings reconcile, and bundles are "
-                             "byte-stable on the slow and columnar lanes; "
-                             "explain: exit nonzero unless every injected "
-                             "fault class is classified correctly and the "
-                             "clean run is verdict-healthy on both lanes")
-    parser.add_argument("--out", default=None,
-                        help="bench: result path (default "
-                             "benchmarks/BENCH_pipeline.json)")
-    args = parser.parse_args(argv)
-    _COMMANDS[args.command](args)
+    kwargs = vars(_parser().parse_args(argv))
+    command = kwargs.pop("command")
+    run = kwargs.pop("run")
+    if isinstance(run, str):
+        run = resolve(run)
+    as_json = kwargs.pop("json", False)
+    verdict = kwargs.pop("check", False)
+    try:
+        result = call(run, check=verdict, **kwargs)
+        if isinstance(result, Check):
+            emit(result, as_json=as_json, checked=verdict)
+            if command == "bench" and not verdict:
+                _record_bench(result.payload, kwargs.get("out"), as_json)
+    except UsageError as err:
+        print(err, file=sys.stdout if err.stdout else sys.stderr)
+        raise SystemExit(2) from None
     return 0
+
+
+def _record_bench(result: dict, out: str | None, as_json: bool) -> None:
+    """``bench`` without ``--check``: ``--json`` writes a dated snapshot
+    under ``benchmarks/results/``; text mode updates the tracked file
+    (its ``quick`` section for a quick campaign)."""
+    import json
+    from pathlib import Path
+
+    from repro.experiments import bench
+
+    if as_json:
+        path = bench.snapshot_path()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+    else:
+        path = Path(out) if out else bench.DEFAULT_RESULT_PATH
+        bench.record(result, path)
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,8 +28,9 @@ pinned by the explain property suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.check import CHECK_LANES, Check, lane_flags, verdict
 from repro.diagnosis.scoring import fault_windows
 
 __all__ = [
@@ -713,36 +714,19 @@ def explain_campaign(seed: int = 42, *, fast: bool = True,
     ``faults=None`` is the clean control run.  The report's verdicts
     ride the flight recorder as the ``verdicts`` evidence stream.
     """
-    from repro.apps import MpiIoTest
     from repro.core import ConnectorConfig
-    from repro.diagnosis import DiagnosisConfig
-    from repro.experiments import World, WorldConfig, run_job
+    from repro.diagnosis.forensics import CHAOS_DIAGNOSIS, CHAOS_FLIGHTREC
+    from repro.experiments.gates import mpiio_campaign
     from repro.ldms.resilience import RetryPolicy
-    from repro.telemetry.flightrec import FlightRecorderConfig
 
-    plan = explain_plan() if faults == "explain" else faults
-    diag = DiagnosisConfig(
-        eval_period_s=0.05, window_s=0.25, for_duration_s=0.1,
-        latency_slo_s=0.25, slo_min_count=8, queue_depth_threshold=64,
-    )
-    flight = FlightRecorderConfig(
-        tick_period_s=0.05, pre_window_s=0.5, post_window_s=0.25,
-    )
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar, faults=plan,
-        retry=RetryPolicy(), standby_l1=True, diagnosis=diag,
-        flightrec=flight, dsos_shards=2, dsos_replication=2,
-        dsos_write_quorum=2,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=4, iterations=24,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(
-        world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-        inter_job_gap_s=0.0,
+    world, result = mpiio_campaign(
+        seed, fast, columnar, iterations=24,
+        connector=ConnectorConfig(spill=True, fast_lane=fast),
+        telemetry=True, retry=RetryPolicy(), standby_l1=True,
+        faults=explain_plan() if faults == "explain" else faults,
+        diagnosis=replace(CHAOS_DIAGNOSIS, queue_depth_threshold=64),
+        flightrec=CHAOS_FLIGHTREC,
+        dsos_shards=2, dsos_replication=2, dsos_write_quorum=2,
     )
     world.flight_recorder.flush()
     report = explain_job(world, result.job_id)
@@ -752,55 +736,50 @@ def explain_campaign(seed: int = 42, *, fast: bool = True,
 
 # -- the --check body ------------------------------------------------------
 
-#: ``(label, fast_lane, columnar)`` lanes ``--check`` exercises.
-CHECK_LANES = (("slow", False, False), ("columnar", True, True))
 
-
-def check_explain(seed: int = 42, lanes=CHECK_LANES):
+def check_explain(seed: int = 42, lane: str | None = None) -> Check:
     """The ``repro explain --check`` verdict.
 
-    Per lane: (1) the four-class chaos campaign classifies with
-    per-class precision and recall 1.0 against injected ground truth,
-    (2) the report JSON is byte-stable across same-seed reruns, and
-    (3) the fault-free control run classifies ``healthy``.  Returns
-    ``(ok, lines)``.
+    On ``lane`` (default: both :data:`~repro.check.CHECK_LANES`):
+    (1) the four-class chaos campaign classifies with per-class
+    precision and recall 1.0 against injected ground truth, (2) the
+    report JSON is byte-stable across same-seed reruns, and (3) the
+    fault-free control run classifies ``healthy``.
     """
-    ok = True
-    lines = []
-    for label, fast, columnar in lanes:
+    lanes = CHECK_LANES if lane is None else (lane,)
+    lines, payload = [], {}
+    for label in lanes:
+        fast, columnar = lane_flags(label)
         first = explain_campaign(seed, fast=fast, columnar=columnar)
         second = explain_campaign(seed, fast=fast, columnar=columnar)
-        if first.report.to_json() != second.report.to_json():
-            ok = False
-            lines.append(f"FAIL[{label}]: explain report not byte-stable "
-                         f"across same-seed runs")
-        score = first.score
-        if not score.ok():
-            ok = False
-            detail = []
-            if score.missing_classes():
-                detail.append("missing: "
-                              + ", ".join(score.missing_classes()))
-            if score.unexpected_classes():
-                detail.append("unexpected: "
-                              + ", ".join(score.unexpected_classes()))
-            lines.append(
-                f"FAIL[{label}]: recall={score.recall:.0%} "
-                f"precision={score.precision:.0%}"
-                + (" (" + "; ".join(detail) + ")" if detail else "")
-            )
         clean = explain_campaign(seed, fast=fast, columnar=columnar,
                                  faults=None)
-        if not clean.report.healthy or clean.report.classes() != ["healthy"]:
-            ok = False
-            lines.append(
-                f"FAIL[{label}]: clean run classified "
-                + ", ".join(clean.report.classes()) + " (want healthy)"
-            )
-        if not any(ln.startswith(f"FAIL[{label}]") for ln in lines):
-            lines.append(
-                f"OK[{label}]: classes {', '.join(score.emitted)} "
-                f"(recall={score.recall:.0%} "
-                f"precision={score.precision:.0%}); clean run healthy"
-            )
-    return ok, lines
+        stable = first.report.to_json() == second.report.to_json()
+        score = first.score
+        payload[label] = {"byte_stable": stable, "classes": score.emitted,
+                          "recall": score.recall,
+                          "precision": score.precision,
+                          "clean_classes": clean.report.classes()}
+        detail = "; ".join(
+            f"{kind}: {', '.join(classes)}" for kind, classes in (
+                ("missing", score.missing_classes()),
+                ("unexpected", score.unexpected_classes())) if classes)
+        lines += verdict(
+            f"classes {', '.join(score.emitted)} (recall={score.recall:.0%} "
+            f"precision={score.precision:.0%}); clean run healthy",
+            (not stable, "explain report not byte-stable across same-seed "
+             "runs"),
+            (not score.ok(), f"recall={score.recall:.0%} "
+             f"precision={score.precision:.0%}"
+             + (f" ({detail})" if detail else "")),
+            (not clean.report.healthy or clean.report.classes() != ["healthy"],
+             "clean run classified " + ", ".join(clean.report.classes())
+             + " (want healthy)"),
+            lane=label,
+        )[1]
+    ok = not any(line.startswith("FAIL") for line in lines)
+    if ok:
+        lines.append("OK: every fault class classified, clean run healthy, "
+                     f"reports byte-stable on the {' and '.join(lanes)} "
+                     "lane(s)")
+    return Check("explain", ok, lines, {"seed": seed, "lanes": payload})

@@ -27,9 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.check import CHECK_LANES, Check, lane_flags, verdict
+from repro.diagnosis.engine import DiagnosisConfig
 from repro.diagnosis.scoring import DETECTORS, fault_windows
+from repro.telemetry.flightrec import FlightRecorderConfig
 
 __all__ = [
+    "CHAOS_DIAGNOSIS",
+    "CHAOS_FLIGHTREC",
     "BundleDiff",
     "CaptureResult",
     "ClassMatch",
@@ -310,16 +315,33 @@ def match_bundles(applied, bundles, epoch: float,
 # -- the capture campaign ------------------------------------------------
 
 
-def chaos_plan(fail_after: int = 50):
+#: Diagnosis cadence tuned to the chaos plan's sub-second fault windows:
+#: 50 ms ticks, 250 ms windows, 100 ms firing hysteresis.
+CHAOS_DIAGNOSIS = DiagnosisConfig(
+    eval_period_s=0.05, window_s=0.25, for_duration_s=0.1,
+    latency_slo_s=0.25, slo_min_count=8,
+)
+#: Recorder cadence for the same campaigns: bundles span 0.5 s before
+#: and 0.25 s after their trigger.
+CHAOS_FLIGHTREC = FlightRecorderConfig(
+    tick_period_s=0.05, pre_window_s=0.5, post_window_s=0.25,
+)
+
+
+def chaos_plan(fail_after: int = 50, *, partition: bool = False):
     """The standard diagnosis chaos plan: an L1 crash (message-count
     triggered), a degraded compute→head link, and a store stall —
-    the same three fault classes ``repro diagnose`` scores against."""
-    from repro.faults import DaemonCrash, FaultPlan, LinkDegrade, SlowStore
+    the same three fault classes ``repro diagnose`` scores against.
+    ``partition=True`` cuts the link instead of degrading it (the
+    ``repro chaos`` and ``repro trace`` plan)."""
+    from repro import faults
 
-    return FaultPlan((
-        DaemonCrash("l1", after_messages=fail_after, down_for=0.5),
-        LinkDegrade("nid00001", "head", at=0.2, duration=0.3, factor=50.0),
-        SlowStore(at=0.1, duration=0.4),
+    link = ("nid00001", "head")
+    return faults.FaultPlan((
+        faults.DaemonCrash("l1", after_messages=fail_after, down_for=0.5),
+        faults.LinkPartition(*link, at=0.2, duration=0.3) if partition else
+        faults.LinkDegrade(*link, at=0.2, duration=0.3, factor=50.0),
+        faults.SlowStore(at=0.1, duration=0.4),
     ))
 
 
@@ -360,35 +382,16 @@ def capture_campaign(seed: int = 42, *, fast: bool = True,
     flushed after the drain, so a trigger near the end of the run still
     freezes its bundle.
     """
-    from repro.apps import MpiIoTest
     from repro.core import ConnectorConfig
-    from repro.diagnosis import DiagnosisConfig
-    from repro.experiments import World, WorldConfig, run_job
+    from repro.experiments.gates import mpiio_campaign
     from repro.ldms.resilience import RetryPolicy
-    from repro.telemetry.flightrec import FlightRecorderConfig
 
-    plan = chaos_plan(fail_after) if faults == "chaos" else faults
-    diag = DiagnosisConfig(
-        eval_period_s=0.05, window_s=0.25, for_duration_s=0.1,
-        latency_slo_s=0.25, slo_min_count=8,
-    )
-    flight = FlightRecorderConfig(
-        tick_period_s=0.05, pre_window_s=0.5, post_window_s=0.25,
-    )
-    world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar, faults=plan,
-        retry=RetryPolicy(), standby_l1=True, diagnosis=diag,
-        flightrec=flight,
-    ))
-    app = MpiIoTest(
-        n_nodes=2, ranks_per_node=4, iterations=8,
-        block_size=2**20, collective=False, sync_per_iteration=False,
-    )
-    result = run_job(
-        world, app, "nfs",
-        connector_config=ConnectorConfig(spill=True, fast_lane=fast),
-        inter_job_gap_s=0.0,
+    world, result = mpiio_campaign(
+        seed, fast, columnar,
+        connector=ConnectorConfig(spill=True, fast_lane=fast),
+        telemetry=True, retry=RetryPolicy(), standby_l1=True,
+        faults=chaos_plan(fail_after) if faults == "chaos" else faults,
+        diagnosis=CHAOS_DIAGNOSIS, flightrec=CHAOS_FLIGHTREC,
     )
     world.flight_recorder.flush()
     if snapshot_id is not None:
@@ -399,56 +402,53 @@ def capture_campaign(seed: int = 42, *, fast: bool = True,
 
 # -- the --check body ----------------------------------------------------
 
-#: ``(label, fast_lane, columnar)`` lanes ``--check`` exercises: the
-#: slow reference lane and the columnar lane (whose spine must refuse
-#: to arm under the recorder and fall back bit-identically).
-CHECK_LANES = (("slow", False, False), ("columnar", True, True))
 
-
-def check_forensics(seed: int = 42, lanes=CHECK_LANES):
+def check_forensics(seed: int = 42, lane: str | None = None, *,
+                    fail_after: int = 50) -> Check:
     """The ``repro forensics --capture --check`` verdict.
 
-    Per lane: run the chaos capture twice with the same seed and
-    require (1) bundle JSON byte-stable across the runs, (2) every
-    ring reconciling ``captured == retained + evicted``, and (3) every
-    injected fault class matched by at least one bundle whose evidence
-    names a detecting signal.  Returns ``(ok, lines)``.
+    On ``lane`` (default: both :data:`~repro.check.CHECK_LANES`), run
+    the chaos capture twice with the same seed and require (1) bundle
+    JSON byte-stable across the runs, (2) every ring reconciling
+    ``captured == retained + evicted``, and (3) every injected fault
+    class matched by at least one bundle whose evidence names a
+    detecting signal.
     """
-    ok = True
-    lines = []
-    for label, fast, columnar in lanes:
-        first = capture_campaign(seed, fast=fast, columnar=columnar)
-        second = capture_campaign(seed, fast=fast, columnar=columnar)
-        frozen = [b.to_canonical_json() for b in first.bundles]
-        refrozen = [b.to_canonical_json() for b in second.bundles]
-        if frozen != refrozen:
-            ok = False
-            lines.append(f"FAIL[{label}]: bundle JSON not byte-stable "
-                         f"across same-seed runs")
-        if not first.bundles:
-            ok = False
-            lines.append(f"FAIL[{label}]: no bundles frozen under the "
-                         f"chaos plan")
-        stale = [
+    lanes = CHECK_LANES if lane is None else (lane,)
+    lines, payload = [], {}
+    for label in lanes:
+        fast, columnar = lane_flags(label)
+        first, second = (
+            capture_campaign(seed, fast=fast, columnar=columnar,
+                             fail_after=fail_after)
+            for _ in range(2)
+        )
+        stable = ([b.to_canonical_json() for b in first.bundles]
+                  == [b.to_canonical_json() for b in second.bundles])
+        stale = sorted(
             name for name, good in first.recorder.reconciliation().items()
             if not good
-        ]
-        if stale:
-            ok = False
-            lines.append(f"FAIL[{label}]: rings do not reconcile: "
-                         + ", ".join(sorted(stale)))
+        )
         matches = match_bundles(first.applied, first.bundles, first.epoch)
         unmatched = sorted(
             cls for cls, match in matches.items() if not match.matched
         )
-        if unmatched:
-            ok = False
-            lines.append(f"FAIL[{label}]: fault classes without a "
-                         f"matching bundle: " + ", ".join(unmatched))
-        if not any((ln.startswith(f"FAIL[{label}]")) for ln in lines):
-            classes = ", ".join(sorted(matches))
-            lines.append(
-                f"OK[{label}]: {len(first.bundles)} bundle(s); classes "
-                f"matched with named signals: {classes}; rings reconcile"
-            )
-    return ok, lines
+        payload[label] = {"bundles": len(first.bundles), "byte_stable": stable,
+                          "stale_rings": stale, "classes": sorted(matches),
+                          "unmatched": unmatched}
+        lines += verdict(
+            f"{len(first.bundles)} bundle(s); classes matched with named "
+            f"signals: {', '.join(sorted(matches))}; rings reconcile",
+            (not stable, "bundle JSON not byte-stable across same-seed runs"),
+            (not first.bundles, "no bundles frozen under the chaos plan"),
+            (stale, "rings do not reconcile: " + ", ".join(stale)),
+            (unmatched, "fault classes without a matching bundle: "
+             + ", ".join(unmatched)),
+            lane=label,
+        )[1]
+    ok = not any(line.startswith("FAIL") for line in lines)
+    if ok:
+        lines.append("OK: every fault class matched a bundle naming its "
+                     f"signal on the {' and '.join(lanes)} lane(s); rings "
+                     "reconcile; bundles byte-stable")
+    return Check("forensics", ok, lines, {"seed": seed, "lanes": payload})

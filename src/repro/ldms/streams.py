@@ -102,22 +102,6 @@ class StreamsBus:
             for flush in self._batch_sinks:
                 flush()
 
-    def publish_batch(self, messages) -> int:
-        """Publish several messages inside one batch window.
-
-        Exactly equivalent to sequential :meth:`publish` calls; returns
-        the number of messages published.
-        """
-        self.begin_batch()
-        try:
-            n = 0
-            for message in messages:
-                self.publish(message)
-                n += 1
-            return n
-        finally:
-            self.end_batch()
-
     def subscribe(self, tag: str, callback) -> None:
         """Register ``callback(message)`` for messages matching ``tag``."""
         if not callable(callback):

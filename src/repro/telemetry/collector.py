@@ -161,29 +161,10 @@ class TraceCollector:
     # -- count-weighted batch hops --------------------------------------
     #
     # A record batch moving as one unit still represents N messages: a
-    # hop (or drop) at a batch boundary must attribute all N, not 1, or
-    # the reconciliation ledger under-counts exactly when batching is
-    # on.  These helpers stamp one record per trace id — identical
-    # records, in list order, to N single calls — while hoisting the
-    # per-call time/NaN bookkeeping out of the loop.
-
-    def hop_batch(
-        self,
-        trace_ids,
-        stage: str,
-        node: str,
-        outcome: str,
-        t_in: float | None = None,
-        t_out: float | None = None,
-    ) -> None:
-        """:meth:`hop` for every id in ``trace_ids`` (falsy ids skipped)."""
-        if t_out is None:
-            t_out = self.env.now
-        if t_in is None:
-            t_in = t_out
-        for trace_id in trace_ids:
-            if trace_id:
-                self.hop(trace_id, stage, node, outcome, t_in=t_in, t_out=t_out)
+    # hop at a batch boundary must attribute all N, not 1, or the
+    # reconciliation ledger under-counts exactly when batching is on.
+    # This helper stamps one record per trace id — identical records,
+    # in list order, to N single calls.
 
     def close_hop_batch(self, trace_ids, stage: str, node: str, outcome: str) -> None:
         """:meth:`close_hop` for every id in ``trace_ids`` (falsy skipped)."""

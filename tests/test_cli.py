@@ -370,17 +370,134 @@ def test_repro_cli_trace_check_exits_nonzero_on_inexact(monkeypatch, capsys):
         ["trace", "--slowest", "1", "--json"],
         ["forensics", "--capture", "--json"],
         ["explain", "--json"],
+        ["telemetry", "--json", "--check"],
+        ["chaos", "--seed", "7", "--seeds", "2", "--json", "--check"],
+        ["store", "--json", "--check"],
+        ["diagnose", "--json", "--check"],
+        ["trace", "--slowest", "1", "--json", "--check"],
+        ["fleet", "--scan", "--json", "--check"],
+        ["fleet", "--catalog", "--json", "--check"],
+        ["forensics", "--capture", "--json", "--check"],
+        ["explain", "--json", "--check"],
+        ["check", "telemetry", "fleet-catalog", "--json"],
     ],
-    ids=["telemetry", "chaos", "profile", "trace", "forensics", "explain"],
+    ids=["telemetry", "chaos", "profile", "trace", "forensics", "explain",
+         "telemetry-check", "chaos-sweep-check", "store-check",
+         "diagnose-check", "trace-check", "fleet-scan-check",
+         "fleet-catalog-check", "forensics-check", "explain-check",
+         "check"],
 )
 def test_repro_cli_json_outputs_are_stable_sorted(argv, capsys):
-    """Every --json stdout is byte-stable: 2-space indent, sorted keys."""
+    """Every --json stdout is byte-stable: 2-space indent, sorted keys.
+
+    With --check the verdict lines go to stderr, so stdout stays exactly
+    one JSON document.
+    """
     import json
 
     assert repro_main(argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert captured.out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if "--check" in argv or argv[0] == "check":
+        assert "OK:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["telemetry", "--no-fast-lane", "--columnar", "--check"],
+        ["diagnose", "--columnar"],
+        ["trace", "--columnar"],
+        ["profile", "--columnar"],
+        ["profile", "--check"],
+        ["fig7", "--check"],
+        ["fig7", "--check", "--drill", "--columnar"],
+        ["chaos", "--columnar", "--no-fast-lane"],
+        ["store", "--topology", "--drill"],
+        ["store", "--topology", "--no-repair"],
+        ["fleet", "--catalog", "--no-fast-lane"],
+        ["forensics", "--show", "fb-0", "--check"],
+        ["explain", "--job", "1", "--check"],
+        ["check", "frobnicate"],
+    ],
+)
+def test_repro_cli_rejects_flags_a_command_does_not_read(argv, capsys):
+    """A flag the subcommand (or its chosen mode) ignores is a usage
+    error, exit 2, reported on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        repro_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err and not captured.out
+
+
+def test_repro_cli_store_no_repair_check_is_a_negative_control(capsys):
+    """Without anti-entropy repair the drill leaves under-replicated
+    objects behind, so the census gate must fail."""
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["store", "--drill", "--no-repair", "--check",
+                    "--no-fast-lane"])
+    assert exc.value.code == 1
     out = capsys.readouterr().out
-    payload = json.loads(out)
-    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert "under-replicated after recovery (repair disabled)" in out
+
+
+# ------------------------------------------------------------- repro check
+
+
+def test_repro_check_registry_matches_the_ci_gate_invocations():
+    """The registry runs each gate at the seed, lanes and options of the
+    per-command invocations it replaces."""
+    from repro.check import GATES
+
+    runs = [
+        (g.name, lane, g.seed, dict(g.options))
+        for g in GATES for lane in g.lanes
+    ]
+    assert runs == [
+        ("bench", None, 42, {"quick": True}),
+        ("telemetry", None, 42, {}),
+        ("chaos", "fast", 3, {"seeds": 3}),
+        ("chaos", "slow", 3, {"seeds": 3}),
+        ("chaos", "columnar", 3, {"seeds": 3}),
+        ("store", "slow", 42, {"mode": "drill"}),
+        ("store", "columnar", 42, {"mode": "drill"}),
+        ("diagnose", "fast", 42, {}),
+        ("diagnose", "slow", 42, {}),
+        ("profile", None, 42, {}),
+        ("trace", "fast", 42, {"slowest": 5}),
+        ("trace", "slow", 42, {"slowest": 5}),
+        ("fleet-scan", "fast", None, {"mode": "scan"}),
+        ("fleet-scan", "slow", None, {"mode": "scan"}),
+        ("fleet-catalog", None, None, {"mode": "catalog"}),
+        ("fleet-export", None, None, {"mode": "export"}),
+        ("forensics", "slow", 42, {}),
+        ("forensics", "columnar", 42, {}),
+        ("explain", "slow", 42, {}),
+        ("explain", "columnar", 42, {}),
+    ]
+
+
+def test_repro_check_runs_named_gates(capsys):
+    assert repro_main(["check", "fleet-catalog", "profile"]) == 0
+    out = capsys.readouterr().out
+    assert "== profile ==" in out and "== fleet-catalog ==" in out
+    assert "OK: catalog complete (61 signals)" in out
+    assert out.rstrip().endswith("OK: 2 gate run(s) passed")
+
+
+def test_repro_check_runs_every_gate_and_fails_on_any(monkeypatch, capsys):
+    from repro.telemetry.report import PipelineHealthReport
+
+    monkeypatch.setattr(PipelineHealthReport, "verify", lambda self: False)
+    with pytest.raises(SystemExit) as exc:
+        repro_main(["check", "telemetry", "profile"])
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    # The later gate still ran after the first one failed.
+    assert "== profile ==" in out
+    assert "FAIL: 1 of 2 gate run(s) failed: telemetry" in out
 
 
 def test_repro_cli_bench_json_sorted_and_snapshotted(monkeypatch, capsys,
