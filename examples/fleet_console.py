@@ -37,9 +37,8 @@ def main() -> None:
 
     # The same scan, as the OpenMetrics text scrapers consume.
     exposition = render_openmetrics(report, catalog)
-    print(f"\nOpenMetrics exposition: {len(exposition.splitlines())} lines, "
-          f"catalog {'complete' if catalog.complete() else 'INCOMPLETE'}; "
-          f"first samples:")
+    print(f"\nOpenMetrics exposition: {len(exposition.splitlines())} lines "
+          f"over {len(catalog)} catalogued signals; first samples:")
     for line in exposition.splitlines()[:5]:
         print(f"  {line}")
 

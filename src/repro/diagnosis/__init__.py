@@ -60,7 +60,7 @@ from repro.diagnosis.signals import (
     Signal,
     SignalCatalog,
     default_catalog,
-    expected_signals,
+    rule_signals,
 )
 from repro.diagnosis.tail import IngestTail
 from repro.diagnosis.windows import SeriesWindow
@@ -101,7 +101,6 @@ __all__ = [
     "default_catalog",
     "default_rules",
     "diff_bundles",
-    "expected_signals",
     "explain_campaign",
     "explain_gauges",
     "explain_job",
@@ -109,6 +108,7 @@ __all__ = [
     "fault_windows",
     "job_features",
     "match_bundles",
+    "rule_signals",
     "score_incidents",
     "score_verdicts",
     "timeline_panel",

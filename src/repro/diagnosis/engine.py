@@ -25,46 +25,61 @@ from repro.diagnosis.alerts import FIRING, PENDING, RESOLVED, Alert, IncidentLog
 from repro.diagnosis.rules import default_rules
 from repro.diagnosis.tail import IngestTail
 from repro.diagnosis.windows import SeriesWindow
+from repro.signals import Signal
 from repro.telemetry.collector import END_TO_END
 
 __all__ = ["DiagnosisConfig", "DiagnosisEngine", "SAMPLED_SERIES", "WindowView"]
 
-#: Every series the engine samples on each tick, as ``(name, unit,
-#: description)`` — the declarative registry :meth:`DiagnosisEngine._sample`
-#: iterates and the signal catalog (:mod:`repro.diagnosis.signals`) is
-#: checked against: a series added here without a catalog entry fails
-#: the catalog completeness check (``repro fleet --catalog --check``).
+#: Every series the engine samples on each tick, declared as the signal
+#: catalog's rows (:mod:`repro.diagnosis.signals`) — the registry
+#: :meth:`DiagnosisEngine._sample` iterates.  ``rule`` names the
+#: diagnosis rule that reads the series (the catalog tests pin that
+#: the links match what each rule's ``evaluate`` actually reads).
 SAMPLED_SERIES = (
-    ("stored_total", "messages",
-     "messages landed in DSOS so far (cumulative)"),
-    ("published_total", "messages",
-     "messages published on compute daemons so far (cumulative)"),
-    ("e2e_count", "messages",
-     "stored messages with a measured end-to-end latency"),
-    ("e2e_total_s", "seconds",
-     "sum of end-to-end latencies over all stored messages"),
-    ("daemons_failed", "daemons",
-     "fabric daemons currently reporting failed"),
-    ("forward_queue_depth", "messages",
-     "total forward-outbox depth across the fabric"),
-    ("retries_total", "sends",
-     "forward send retries so far (cumulative)"),
-    ("dead_letters_total", "messages",
-     "messages dead-lettered after exhausted retries (cumulative)"),
-    ("slow_pending", "messages",
-     "messages deferred by an active slow-store episode"),
-    ("spill_parked", "events",
-     "events parked in connector spill buffers awaiting replay"),
-    ("ingest_backlog", "messages",
-     "queue depth + slow-store deferrals + spill-parked events"),
-    ("store_replicas_down", "daemons",
-     "dsosd replicas currently crashed (0 on a legacy flat cluster)"),
-    ("store_under_replicated", "objects",
-     "objects below min(R, live replicas) copies — repair owes them"),
-    ("store_replica_lag", "objects",
-     "worst applied-object gap between live replicas of one shard"),
-    ("store_shard_skew", "objects",
-     "visible-object spread between the fullest and emptiest shard"),
+    Signal("stored_total", "messages", "counter", __name__,
+           "messages landed in DSOS so far (cumulative)",
+           rule="throughput_collapse"),
+    Signal("published_total", "messages", "counter", __name__,
+           "messages published on compute daemons so far (cumulative)"),
+    Signal("e2e_count", "messages", "counter", __name__,
+           "stored messages with a measured end-to-end latency",
+           rule="latency_slo"),
+    Signal("e2e_total_s", "seconds", "counter", __name__,
+           "sum of end-to-end latencies over all stored messages",
+           rule="latency_slo"),
+    Signal("daemons_failed", "daemons", "gauge", __name__,
+           "fabric daemons currently reporting failed",
+           rule="daemon_down"),
+    Signal("forward_queue_depth", "messages", "gauge", __name__,
+           "total forward-outbox depth across the fabric",
+           rule="queue_backlog"),
+    Signal("retries_total", "sends", "counter", __name__,
+           "forward send retries so far (cumulative)",
+           rule="retry_growth"),
+    Signal("dead_letters_total", "messages", "counter", __name__,
+           "messages dead-lettered after exhausted retries (cumulative)",
+           rule="deadletter_growth"),
+    Signal("slow_pending", "messages", "gauge", __name__,
+           "messages deferred by an active slow-store episode",
+           rule="store_stall"),
+    Signal("spill_parked", "events", "gauge", __name__,
+           "events parked in connector spill buffers awaiting replay",
+           rule="spill_growth"),
+    Signal("ingest_backlog", "messages", "gauge", __name__,
+           "queue depth + slow-store deferrals + spill-parked events",
+           rule="throughput_collapse"),
+    Signal("store_replicas_down", "daemons", "gauge", __name__,
+           "dsosd replicas currently crashed (0 on a legacy flat cluster)",
+           rule="under_replication"),
+    Signal("store_under_replicated", "objects", "gauge", __name__,
+           "objects below min(R, live replicas) copies — repair owes them",
+           rule="under_replication"),
+    Signal("store_replica_lag", "objects", "gauge", __name__,
+           "worst applied-object gap between live replicas of one shard",
+           rule="replica_lag"),
+    Signal("store_shard_skew", "objects", "gauge", __name__,
+           "visible-object spread between the fullest and emptiest shard",
+           rule="shard_skew"),
 )
 
 
@@ -244,8 +259,8 @@ class DiagnosisEngine:
             "store_replica_lag": store_health["replica_lag"],
             "store_shard_skew": store_health["shard_skew"],
         }
-        for name, _, _ in SAMPLED_SERIES:
-            self.series(name).append(now, values[name])
+        for signal in SAMPLED_SERIES:
+            self.series(signal.name).append(now, values[signal.name])
 
     # -- evaluation ----------------------------------------------------
 

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.check import CHECK_LANES, Check, lane_flags, verdict
 from repro.diagnosis.scoring import fault_windows
+from repro.diagnosis.signals import rule_signals
+from repro.signals import Signal
 
 __all__ = [
     "CLASSIFIERS",
@@ -84,18 +86,18 @@ STRATEGY_WEIGHTS = {
     "metadata_mix": 0.6,
 }
 
-#: Explain-layer self-metrics (catalogued in ``signals.py``, exported
-#: per cluster via OpenMetrics).
+#: Explain-layer self-metrics, as signal catalog rows (exported per
+#: cluster via OpenMetrics).
 EXPLAIN_METRICS = (
-    ("explain_verdicts", "verdicts",
-     "bottleneck verdicts emitted for the scanned job (healthy "
-     "baseline included)"),
-    ("explain_confidence", "score",
-     "confidence score of the primary bottleneck verdict (0-1)"),
-    ("explain_strategies_fired", "strategies",
-     "classifier strategies whose thresholds fired for the scanned job"),
-    ("explain_healthy", "boolean",
-     "1 when the primary verdict is healthy (no bottleneck named)"),
+    Signal("explain_verdicts", "verdicts", "gauge", __name__,
+           "bottleneck verdicts emitted for the scanned job (healthy "
+           "baseline included)"),
+    Signal("explain_confidence", "score", "gauge", __name__,
+           "confidence score of the primary bottleneck verdict (0-1)"),
+    Signal("explain_strategies_fired", "strategies", "gauge", __name__,
+           "classifier strategies whose thresholds fired for the scanned job"),
+    Signal("explain_healthy", "boolean", "gauge", __name__,
+           "1 when the primary verdict is healthy (no bottleneck named)"),
 )
 
 
@@ -144,23 +146,13 @@ class BottleneckVerdict:
 # -- evidence helpers ------------------------------------------------------
 
 
-def _rule_signals(rules) -> list[str]:
-    """Catalog signal names feeding any of ``rules`` (evidence links
-    into the signal catalog)."""
-    from repro.diagnosis.signals import default_catalog
-
-    return sorted(
-        s.name for s in default_catalog() if s.rule and s.rule in set(rules)
-    )
-
-
 def _evidence(incidents, features, *, windows: dict | None = None) -> dict:
     """One verdict's evidence-link block, deterministic ordering."""
     rules = sorted({a.rule for a in incidents})
     return {
         "incidents": sorted(a.incident_id for a in incidents),
         "rules": rules,
-        "signals": _rule_signals(rules),
+        "signals": rule_signals(rules),
         "trace_id": features.slowest_trace_id,
         "windows": dict(sorted((windows or {}).items())),
     }

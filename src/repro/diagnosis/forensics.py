@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from repro.check import CHECK_LANES, Check, lane_flags, verdict
 from repro.diagnosis.engine import DiagnosisConfig
 from repro.diagnosis.scoring import DETECTORS, fault_windows
+from repro.diagnosis.signals import rule_signals
 from repro.telemetry.flightrec import FlightRecorderConfig
 
 __all__ = [
@@ -285,9 +286,6 @@ def match_bundles(applied, bundles, epoch: float,
     alerts fire with hysteresis) *and* its evidence names at least one
     signal feeding a rule in :data:`DETECTORS` for that class.
     """
-    from repro.diagnosis.signals import default_catalog
-
-    signal_rule = {s.name: s.rule for s in default_catalog() if s.rule}
     matches: dict[str, ClassMatch] = {}
     windows = fault_windows(applied)
     for window in windows:
@@ -303,9 +301,10 @@ def match_bundles(applied, bundles, epoch: float,
             if not t_begin <= bundle.t_trigger <= t_end:
                 continue
             hit_rules = detectors & set(bundle.evidence.get("rules", ()))
+            feeding = set(rule_signals(hit_rules))
             signals = sorted(
                 name for name in bundle.evidence.get("signals", ())
-                if signal_rule.get(name) in hit_rules
+                if name in feeding
             )
             if signals:
                 match.bundles.setdefault(bundle.bundle_id, signals)

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Rule", "RuleEval", "default_rules"]
+from repro.signals import Signal
+
+__all__ = ["ALERT_METRICS", "Rule", "RuleEval", "default_rules"]
 
 #: Severities, mildest first.
 SEVERITIES = ("info", "warning", "critical")
@@ -193,69 +195,57 @@ def _deadletter_growth(view) -> RuleEval:
     )
 
 
+#: The standard rule set, as ``(name, severity, description, bind)``:
+#: ``bind(config)`` returns the rule's ``evaluate`` with a
+#: ``DiagnosisConfig``'s thresholds baked in.
+_STANDARD = (
+    ("daemon_down", "critical", "a fabric daemon reports failed",
+     lambda c: _daemon_down),
+    ("latency_slo", "warning",
+     "windowed mean end-to-end latency breaches the SLO",
+     lambda c: _latency_slo(c.latency_slo_s, c.slo_min_count)),
+    ("throughput_collapse", "warning",
+     "stored rate collapsed vs the trailing baseline with a backlog",
+     lambda c: _throughput_collapse(c.collapse_frac, c.baseline_windows,
+                                    c.min_baseline_rate)),
+    ("store_stall", "critical",
+     "DSOS ingest is deferring messages (slow-store episode)",
+     lambda c: _store_stall),
+    ("queue_backlog", "warning", "forwarder outboxes are backing up",
+     lambda c: _queue_backlog(c.queue_depth_threshold)),
+    ("rank_imbalance", "info",
+     "one rank dominates the stored I/O event stream",
+     lambda c: _rank_imbalance(c.imbalance_ratio, c.imbalance_min_events)),
+    ("spill_growth", "warning",
+     "connector spill buffers hold unreplayed events",
+     lambda c: _spill_growth),
+    ("retry_growth", "warning", "forwarders are retrying sends",
+     lambda c: _retry_growth),
+    ("deadletter_growth", "critical", "messages are being dead-lettered",
+     lambda c: _deadletter_growth),
+    ("under_replication", "critical",
+     "a dsosd replica is down or objects sit below quorum copies",
+     lambda c: _under_replication),
+    ("replica_lag", "warning",
+     "live replicas of one shard have diverged (repair owed)",
+     lambda c: _replica_lag(c.replica_lag_threshold)),
+    ("shard_skew", "info",
+     "object placement across shards is badly imbalanced",
+     lambda c: _shard_skew(c.shard_skew_threshold)),
+)
+
+
 def default_rules(config) -> tuple:
     """The standard set, thresholds from a ``DiagnosisConfig``."""
-    hold = config.for_duration_s
-    return (
-        Rule(
-            "daemon_down", "critical",
-            "a fabric daemon reports failed", hold, _daemon_down,
-        ),
-        Rule(
-            "latency_slo", "warning",
-            "windowed mean end-to-end latency breaches the SLO", hold,
-            _latency_slo(config.latency_slo_s, config.slo_min_count),
-        ),
-        Rule(
-            "throughput_collapse", "warning",
-            "stored rate collapsed vs the trailing baseline with a backlog",
-            hold,
-            _throughput_collapse(
-                config.collapse_frac, config.baseline_windows,
-                config.min_baseline_rate,
-            ),
-        ),
-        Rule(
-            "store_stall", "critical",
-            "DSOS ingest is deferring messages (slow-store episode)", hold,
-            _store_stall,
-        ),
-        Rule(
-            "queue_backlog", "warning",
-            "forwarder outboxes are backing up", hold,
-            _queue_backlog(config.queue_depth_threshold),
-        ),
-        Rule(
-            "rank_imbalance", "info",
-            "one rank dominates the stored I/O event stream", hold,
-            _rank_imbalance(config.imbalance_ratio, config.imbalance_min_events),
-        ),
-        Rule(
-            "spill_growth", "warning",
-            "connector spill buffers hold unreplayed events", hold,
-            _spill_growth,
-        ),
-        Rule(
-            "retry_growth", "warning",
-            "forwarders are retrying sends", hold, _retry_growth,
-        ),
-        Rule(
-            "deadletter_growth", "critical",
-            "messages are being dead-lettered", hold, _deadletter_growth,
-        ),
-        Rule(
-            "under_replication", "critical",
-            "a dsosd replica is down or objects sit below quorum copies",
-            hold, _under_replication,
-        ),
-        Rule(
-            "replica_lag", "warning",
-            "live replicas of one shard have diverged (repair owed)", hold,
-            _replica_lag(config.replica_lag_threshold),
-        ),
-        Rule(
-            "shard_skew", "info",
-            "object placement across shards is badly imbalanced", hold,
-            _shard_skew(config.shard_skew_threshold),
-        ),
+    return tuple(
+        Rule(name, severity, description, config.for_duration_s, bind(config))
+        for name, severity, description, bind in _STANDARD
     )
+
+
+#: One alert signal per standard rule (its state as a catalog row).
+ALERT_METRICS = tuple(
+    Signal(f"alert_{name}", "state", "alert", __name__,
+           f"{severity}: {description}", rule=name)
+    for name, severity, description, _ in _STANDARD
+)

@@ -1,66 +1,42 @@
 """The signal catalog: every metric, alert and gauge the stack emits.
 
-One registry, assembled from the emitting modules' own declarative
-tables — :data:`~repro.diagnosis.engine.SAMPLED_SERIES`, the default
-:mod:`~repro.diagnosis.rules` set, the telemetry hop-stage histograms,
-:data:`~repro.fleet.probe.PROBE_METRICS` and the scorecard components —
-so it cannot silently drift from the code: :meth:`SignalCatalog.missing`
-re-derives the expected names from those live registries, and the CI
-catalog-completeness check (``repro fleet --catalog --check``) fails if
-anything the stack emits is absent here.
+Each emitting module declares its own :class:`~repro.signals.Signal`
+rows next to the code that emits them, and :func:`default_catalog` is
+their concatenation:
 
-Each :class:`Signal` carries name, unit, kind, the source site that
-emits it, and — where one exists — the diagnosis rule it feeds, so the
-console page and the OpenMetrics exposition
-(:mod:`repro.telemetry.exporter`) can both be generated from the same
-rows.
+* :data:`~repro.diagnosis.engine.SAMPLED_SERIES` — the diagnosis
+  engine's sampled series;
+* :data:`~repro.diagnosis.rules.ALERT_METRICS` — one alert per
+  standard rule;
+* :data:`~repro.telemetry.collector.HOP_METRICS` — the hop-latency
+  histograms;
+* :data:`~repro.dsos.cluster.STORE_METRICS`,
+  :data:`~repro.fleet.probe.PROBE_METRICS`,
+  :data:`~repro.telemetry.flightrec.RECORDER_METRICS`,
+  :data:`~repro.diagnosis.explain.EXPLAIN_METRICS` and
+  :data:`~repro.fleet.scorecard.SCORE_METRICS`.
+
+Each row carries name, unit, kind, the source module that emits it and
+— where one exists — the diagnosis rule it feeds, so the console page,
+the OpenMetrics exposition (:mod:`repro.telemetry.exporter`) and the
+evidence links of explain verdicts and forensic bundles
+(:func:`rule_signals`) all read the same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.signals import Signal
 
-__all__ = ["Signal", "SignalCatalog", "default_catalog", "expected_signals"]
-
-#: Valid signal kinds (OpenMetrics-ish; "alert" and "score" are ours).
-KINDS = ("counter", "gauge", "histogram", "alert", "score")
-
-
-@dataclass(frozen=True)
-class Signal:
-    """One catalogued emission site."""
-
-    name: str
-    unit: str
-    kind: str
-    #: Dotted module path of the site that emits it.
-    source: str
-    description: str
-    #: Name of the diagnosis rule this signal feeds, if any.
-    rule: str = ""
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown signal kind {self.kind!r}")
-        if not self.name:
-            raise ValueError("signal name must be non-empty")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "unit": self.unit,
-            "kind": self.kind,
-            "source": self.source,
-            "description": self.description,
-            "rule": self.rule,
-        }
+__all__ = ["Signal", "SignalCatalog", "default_catalog", "rule_signals"]
 
 
 class SignalCatalog:
     """Ordered, unique-by-name registry of :class:`Signal` rows."""
 
-    def __init__(self):
+    def __init__(self, signals=()):
         self._signals: dict[str, Signal] = {}
+        for signal in signals:
+            self.register(signal)
 
     def register(self, signal: Signal) -> Signal:
         if signal.name in self._signals:
@@ -83,19 +59,6 @@ class SignalCatalog:
     def names(self) -> list[str]:
         return sorted(self._signals)
 
-    def missing(self) -> list[str]:
-        """Emitted-but-uncatalogued names (empty == catalog complete).
-
-        The expected set is re-derived from the emitting modules' live
-        registries on every call, so adding a sampled series, a rule, a
-        hop stage or a probe metric without a catalog row shows up here
-        (and fails ``repro fleet --catalog --check``).
-        """
-        return sorted(expected_signals() - set(self._signals))
-
-    def complete(self) -> bool:
-        return not self.missing()
-
     def to_rows(self) -> list[dict]:
         """Console-table rows, sorted by (kind, name)."""
         return [
@@ -115,168 +78,27 @@ class SignalCatalog:
         return {
             "signals": [s.to_dict() for s in self],
             "count": len(self),
-            "complete": self.complete(),
-            "missing": self.missing(),
         }
 
 
-def expected_signals() -> set:
-    """Every signal name the stack's live registries say it emits."""
-    from repro.diagnosis.engine import SAMPLED_SERIES
-    from repro.diagnosis.explain import EXPLAIN_METRICS
-    from repro.dsos.cluster import STORE_METRICS
-    from repro.fleet.probe import PROBE_METRICS
-    from repro.fleet.scorecard import COMPONENT_WEIGHTS
-    from repro.telemetry.collector import END_TO_END
-    from repro.telemetry.flightrec import RECORDER_METRICS
-    from repro.telemetry.trace import (
-        STAGE_BUS,
-        STAGE_FORWARD,
-        STAGE_INGEST,
-        STAGE_PUBLISH,
-        STAGE_RECEIVE,
-    )
-
-    expected = {name for name, _, _ in SAMPLED_SERIES}
-    expected |= {name for name, _, _ in STORE_METRICS}
-    expected |= {f"alert_{rule.name}" for rule in _standard_rules()}
-    expected |= {
-        f"hop_latency_{stage}"
-        for stage in (STAGE_PUBLISH, STAGE_BUS, STAGE_FORWARD,
-                      STAGE_RECEIVE, STAGE_INGEST, END_TO_END)
-    }
-    expected |= {name for name, _, _ in PROBE_METRICS}
-    expected |= {name for name, _, _ in RECORDER_METRICS}
-    expected |= {name for name, _, _ in EXPLAIN_METRICS}
-    expected |= {"health_score"}
-    expected |= {f"score_deduction_{c}" for c in COMPONENT_WEIGHTS}
-    return expected
-
-
-def _standard_rules() -> tuple:
-    """The default rule set under default thresholds (names/severities
-    are what the catalog needs; thresholds do not matter here)."""
-    from repro.diagnosis.engine import DiagnosisConfig
-    from repro.diagnosis.rules import default_rules
-
-    return default_rules(DiagnosisConfig())
-
-
-#: Series that only ever increase (everything else sampled is a gauge).
-_CUMULATIVE_SERIES = {
-    "stored_total", "published_total", "e2e_count", "e2e_total_s",
-    "retries_total", "dead_letters_total",
-}
-
-
 def default_catalog() -> SignalCatalog:
-    """The complete catalog for the current stack, built from the same
-    live registries :func:`expected_signals` reads."""
+    """Every row the emitting modules declare, in one catalog."""
     from repro.diagnosis.engine import SAMPLED_SERIES
     from repro.diagnosis.explain import EXPLAIN_METRICS
+    from repro.diagnosis.rules import ALERT_METRICS
     from repro.dsos.cluster import STORE_METRICS
     from repro.fleet.probe import PROBE_METRICS
-    from repro.fleet.scorecard import COMPONENT_WEIGHTS
-    from repro.telemetry.collector import END_TO_END
+    from repro.fleet.scorecard import SCORE_METRICS
+    from repro.telemetry.collector import HOP_METRICS
     from repro.telemetry.flightrec import RECORDER_METRICS
-    from repro.telemetry.trace import (
-        STAGE_BUS,
-        STAGE_FORWARD,
-        STAGE_INGEST,
-        STAGE_PUBLISH,
-        STAGE_RECEIVE,
+
+    return SignalCatalog(
+        SAMPLED_SERIES + ALERT_METRICS + HOP_METRICS + STORE_METRICS
+        + PROBE_METRICS + RECORDER_METRICS + EXPLAIN_METRICS + SCORE_METRICS
     )
 
-    # Which rule reads which sampled series (links catalog rows to the
-    # diagnosis rule they feed; series without a rule are dashboards).
-    series_rule = {
-        "stored_total": "throughput_collapse",
-        "e2e_count": "latency_slo",
-        "e2e_total_s": "latency_slo",
-        "daemons_failed": "daemon_down",
-        "forward_queue_depth": "queue_backlog",
-        "retries_total": "retry_growth",
-        "dead_letters_total": "deadletter_growth",
-        "slow_pending": "store_stall",
-        "spill_parked": "spill_growth",
-        "store_replicas_down": "under_replication",
-        "store_under_replicated": "under_replication",
-        "store_replica_lag": "replica_lag",
-        "store_shard_skew": "shard_skew",
-    }
 
-    catalog = SignalCatalog()
-    for name, unit, description in SAMPLED_SERIES:
-        catalog.register(Signal(
-            name=name, unit=unit,
-            kind="counter" if name in _CUMULATIVE_SERIES else "gauge",
-            source="repro.diagnosis.engine",
-            description=description,
-            rule=series_rule.get(name, ""),
-        ))
-    for rule in _standard_rules():
-        catalog.register(Signal(
-            name=f"alert_{rule.name}", unit="state", kind="alert",
-            source="repro.diagnosis.rules",
-            description=f"{rule.severity}: {rule.description}",
-            rule=rule.name,
-        ))
-    stage_help = {
-        STAGE_PUBLISH: "app rank to local ldmsd publish cost",
-        STAGE_BUS: "delivery on one daemon's stream bus",
-        STAGE_FORWARD: "outbox wait plus network transfer to the peer",
-        STAGE_RECEIVE: "arrival processing at the peer daemon",
-        STAGE_INGEST: "terminal DSOS store plugin ingest",
-        END_TO_END: "publish to durable store, whole spine",
-    }
-    for stage, description in stage_help.items():
-        catalog.register(Signal(
-            name=f"hop_latency_{stage}", unit="seconds", kind="histogram",
-            source="repro.telemetry.collector",
-            description=f"hop latency histogram: {description}",
-            rule="latency_slo" if stage == END_TO_END else "",
-        ))
-    for name, unit, description in STORE_METRICS:
-        catalog.register(Signal(
-            name=name, unit=unit,
-            kind="counter" if name.endswith("_total") else "gauge",
-            source="repro.dsos.cluster",
-            description=description,
-            rule="under_replication" if name in (
-                "store_quorum_degraded_total", "store_rejected_writes_total",
-            ) else "",
-        ))
-    for name, unit, description in PROBE_METRICS:
-        catalog.register(Signal(
-            name=name, unit=unit,
-            kind="counter" if name.endswith("_total") else "gauge",
-            source="repro.fleet.probe",
-            description=description,
-        ))
-    for name, unit, description in RECORDER_METRICS:
-        catalog.register(Signal(
-            name=name, unit=unit,
-            kind="counter" if name.endswith("_total") else "gauge",
-            source="repro.telemetry.flightrec",
-            description=description,
-        ))
-    for name, unit, description in EXPLAIN_METRICS:
-        catalog.register(Signal(
-            name=name, unit=unit, kind="gauge",
-            source="repro.diagnosis.explain",
-            description=description,
-        ))
-    catalog.register(Signal(
-        name="health_score", unit="points", kind="score",
-        source="repro.fleet.scorecard",
-        description="per-cluster readiness score, 0-100, "
-                    "100 minus the sum of component deductions",
-    ))
-    for component, weight in COMPONENT_WEIGHTS.items():
-        catalog.register(Signal(
-            name=f"score_deduction_{component}", unit="points", kind="score",
-            source="repro.fleet.scorecard",
-            description=f"scorecard deduction for the {component} "
-                        f"component (capped at {weight})",
-        ))
-    return catalog
+def rule_signals(rules) -> list[str]:
+    """Sorted names of the catalogued signals feeding any of ``rules``."""
+    rules = set(rules)
+    return [s.name for s in default_catalog() if s.rule and s.rule in rules]

@@ -483,16 +483,17 @@ def fleet(lane: str | None = None, *, mode: str = "scan") -> Check:
     console; the verdict requires every scorecard to reconcile exactly
     and the chaos cluster's faults to show up in the matching
     components.  ``"export"`` is the scan as an OpenMetrics text
-    exposition and ``"catalog"`` the signal catalog page; their verdict
-    requires every emitted signal to be catalogued.
+    exposition, whose verdict requires every exported family to be
+    catalogued; ``"catalog"`` is the signal catalog page, whose verdict
+    requires every signal's rule link to name a standard rule.
     """
     from repro.diagnosis.signals import default_catalog
 
     catalog = default_catalog()
-    missing = (not catalog.complete(), "signals missing from the catalog: "
-               + ", ".join(catalog.missing()))
 
     if mode == "catalog":
+        from repro.diagnosis.engine import DiagnosisConfig
+        from repro.diagnosis.rules import default_rules
         from repro.webservices.console import FleetConsole
         from repro.webservices.grafana import render_ascii
 
@@ -502,8 +503,12 @@ def fleet(lane: str | None = None, *, mode: str = "scan") -> Check:
         # No scan needed for the catalog page: an empty report.
         text = "\n".join(render_ascii(panel, width=100) for panel in
                          FleetConsole((), catalog).catalog_panels())
-        ok, lines = verdict(f"catalog complete ({len(catalog)} signals)",
-                             missing)
+        known = {rule.name for rule in default_rules(DiagnosisConfig())}
+        dangling = [s.name for s in catalog if s.rule and s.rule not in known]
+        ok, lines = verdict(
+            f"{len(catalog)} signals; every rule link names a standard rule",
+            (dangling, "signals linked to no standard rule: "
+             + ", ".join(dangling)))
         return Check("fleet", ok, lines, catalog.to_dict(), text)
 
     from repro.fleet import scan_fleet
@@ -515,7 +520,7 @@ def fleet(lane: str | None = None, *, mode: str = "scan") -> Check:
 
         text = render_openmetrics(report, catalog)
         ok, lines = verdict(
-            "every exported family catalogued", missing,
+            "every exported family catalogued",
             ("(uncatalogued)" in text, "export contains uncatalogued "
              "families"))
         return Check("fleet", ok, lines, None, text, document=True)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+from repro.signals import Signal
+
 __all__ = [
     "PROBE_METRICS",
     "NodeProbeStats",
@@ -34,15 +36,14 @@ __all__ = [
     "flag_stragglers",
 ]
 
-#: Metrics the probe subsystem emits, as ``(name, unit, description)``
-#: — the signal catalog (:mod:`repro.diagnosis.signals`) must list each.
+#: Metrics the probe subsystem emits, as signal catalog rows.
 PROBE_METRICS = (
-    ("probe_latency_s", "seconds",
-     "synthetic probe spine latency for one node (ghost traversal)"),
-    ("probe_lost_total", "probes",
-     "probes lost to a dead daemon or partitioned link, per node"),
-    ("probe_stragglers", "nodes",
-     "nodes whose mean probe latency exceeds fold x the fleet median"),
+    Signal("probe_latency_s", "seconds", "gauge", __name__,
+           "synthetic probe spine latency for one node (ghost traversal)"),
+    Signal("probe_lost_total", "probes", "counter", __name__,
+           "probes lost to a dead daemon or partitioned link, per node"),
+    Signal("probe_stragglers", "nodes", "gauge", __name__,
+           "nodes whose mean probe latency exceeds fold x the fleet median"),
 )
 
 

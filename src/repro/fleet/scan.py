@@ -218,8 +218,8 @@ def scan_cluster(spec: FleetClusterSpec, *,
     incidents = world.diagnosis.incidents
     health = world.pipeline_health_report()
     gauges = {
-        name: world.diagnosis.series(name).latest
-        for name, _, _ in SAMPLED_SERIES
+        signal.name: world.diagnosis.series(signal.name).latest
+        for signal in SAMPLED_SERIES
     }
     from repro.diagnosis.explain import explain_gauges, explain_job
 

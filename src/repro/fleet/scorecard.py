@@ -18,10 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.signals import Signal
+
 __all__ = [
     "COMPONENT_WEIGHTS",
     "ComponentDeduction",
     "HealthScore",
+    "SCORE_METRICS",
     "build_scorecard",
 ]
 
@@ -35,6 +38,18 @@ COMPONENT_WEIGHTS = {
     "store": 10,    # store stalls + replication debt (census)
 }
 assert sum(COMPONENT_WEIGHTS.values()) == 100
+
+#: The score and its per-component deductions, as signal catalog rows.
+SCORE_METRICS = (
+    Signal("health_score", "points", "score", __name__,
+           "per-cluster readiness score, 0-100, "
+           "100 minus the sum of component deductions"),
+) + tuple(
+    Signal(f"score_deduction_{component}", "points", "score", __name__,
+           f"scorecard deduction for the {component} component "
+           f"(capped at {weight})")
+    for component, weight in COMPONENT_WEIGHTS.items()
+)
 
 #: Points per incident by severity (alerts component).
 _SEVERITY_POINTS = {"critical": 10, "warning": 5, "info": 2}

@@ -12,19 +12,41 @@ no scheduled events, no payload changes.
 
 from __future__ import annotations
 
+from repro.signals import Signal
 from repro.telemetry.histogram import GaugeStats, LogHistogram
 from repro.telemetry.trace import (
     RECOVERY_OUTCOMES,
+    STAGE_BUS,
+    STAGE_FORWARD,
+    STAGE_INGEST,
+    STAGE_PUBLISH,
+    STAGE_RECEIVE,
     STORED,
     HopRecord,
     MessageTrace,
     parse_trace_id,
 )
 
-__all__ = ["TraceCollector", "collector_for", "install", "uninstall"]
+__all__ = ["HOP_METRICS", "TraceCollector", "collector_for", "install",
+           "uninstall"]
 
 #: Synthetic stage for the full publish-begin → stored span.
 END_TO_END = "end_to_end"
+
+#: The per-stage latency histograms the collector keeps, as signal
+#: catalog rows (exported as ``_count``/``_sum`` pairs).
+HOP_METRICS = tuple(
+    Signal(f"hop_latency_{stage}", "seconds", "histogram", __name__,
+           f"hop latency histogram: {description}", rule=rule)
+    for stage, description, rule in (
+        (STAGE_PUBLISH, "app rank to local ldmsd publish cost", ""),
+        (STAGE_BUS, "delivery on one daemon's stream bus", ""),
+        (STAGE_FORWARD, "outbox wait plus network transfer to the peer", ""),
+        (STAGE_RECEIVE, "arrival processing at the peer daemon", ""),
+        (STAGE_INGEST, "terminal DSOS store plugin ingest", ""),
+        (END_TO_END, "publish to durable store, whole spine", "latency_slo"),
+    )
+)
 
 #: Attribute the collector is stored under on the Environment.  A plain
 #: attribute beats the previous WeakKeyDictionary: collector_for runs

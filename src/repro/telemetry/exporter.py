@@ -49,11 +49,9 @@ def _sample(name: str, labels: dict, value) -> str:
     return f"{_PREFIX}{name}{{{label_str}}} {_fmt(value)}"
 
 
-def _collect(report) -> dict[str, list[str]]:
+def _collect(report, catalog) -> dict[str, list[str]]:
     """Family name → rendered sample lines, from one fleet report."""
-    from repro.diagnosis.signals import _standard_rules
-
-    rules = _standard_rules()
+    alerts = [s for s in catalog if s.kind == "alert"]
     families: dict[str, list[str]] = {}
 
     def emit(name: str, labels: dict, value) -> None:
@@ -79,8 +77,8 @@ def _collect(report) -> dict[str, list[str]]:
         by_rule: dict[str, int] = {}
         for alert in cluster.incidents:
             by_rule[alert.rule] = by_rule.get(alert.rule, 0) + 1
-        for rule in rules:
-            emit(f"alert_{rule.name}", base, by_rule.get(rule.name, 0))
+        for signal in alerts:
+            emit(signal.name, base, by_rule.get(signal.rule, 0))
 
         # Diagnosis sampled series (end-of-scan values).
         for name, value in sorted(cluster.gauges.items()):
@@ -149,7 +147,7 @@ def render_openmetrics(report, catalog=None) -> str:
     from repro.diagnosis.signals import default_catalog
 
     catalog = catalog or default_catalog()
-    families = _collect(report)
+    families = _collect(report, catalog)
 
     lines: list[str] = []
     emitted = set()

@@ -35,6 +35,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.signals import Signal
 from repro.telemetry.trace import QUORUM_DEGRADED, STORED
 
 __all__ = [
@@ -62,22 +63,21 @@ STREAMS = (
     ("verdicts", "post-hoc bottleneck verdicts from the explain layer"),
 )
 
-#: Recorder self-metrics, as ``(name, unit, description)`` — registered
-#: in the signal catalog (:mod:`repro.diagnosis.signals`) and emitted by
-#: the OpenMetrics exporter so drift detection covers the recorder.
+#: Recorder self-metrics, as signal catalog rows — emitted by the
+#: OpenMetrics exporter alongside every other catalogued family.
 RECORDER_METRICS = (
-    ("flightrec_captured_total", "records",
-     "ring records captured per stream so far (cumulative)"),
-    ("flightrec_evicted_total", "records",
-     "ring records evicted by the capacity cap (cumulative)"),
-    ("flightrec_retained", "records",
-     "ring records currently retained per stream"),
-    ("flightrec_bundles_frozen_total", "bundles",
-     "forensic bundles frozen by triggers so far (cumulative)"),
-    ("flightrec_bundle_bytes_total", "bytes",
-     "serialized bytes appended to the bundle log (cumulative)"),
-    ("flightrec_triggers_dropped_total", "triggers",
-     "triggers ignored by coalescing or the bundle cap (cumulative)"),
+    Signal("flightrec_captured_total", "records", "counter", __name__,
+           "ring records captured per stream so far (cumulative)"),
+    Signal("flightrec_evicted_total", "records", "counter", __name__,
+           "ring records evicted by the capacity cap (cumulative)"),
+    Signal("flightrec_retained", "records", "gauge", __name__,
+           "ring records currently retained per stream"),
+    Signal("flightrec_bundles_frozen_total", "bundles", "counter", __name__,
+           "forensic bundles frozen by triggers so far (cumulative)"),
+    Signal("flightrec_bundle_bytes_total", "bytes", "counter", __name__,
+           "serialized bytes appended to the bundle log (cumulative)"),
+    Signal("flightrec_triggers_dropped_total", "triggers", "counter", __name__,
+           "triggers ignored by coalescing or the bundle cap (cumulative)"),
 )
 
 
@@ -371,7 +371,6 @@ class FlightRecorder:
         self._probe_idx = 0
         self._stragglers_seen: set[str] = set()
         self._snapshots = 0
-        self._catalog = None
         self._armed = False
 
     # -- arming --------------------------------------------------------
@@ -627,6 +626,8 @@ class FlightRecorder:
         )
 
     def _evidence(self, rule: str, streams: dict) -> dict:
+        from repro.diagnosis.signals import rule_signals
+
         rules = {rule} if rule else set()
         incidents = set()
         for record in streams["alerts"]["records"]:
@@ -639,9 +640,6 @@ class FlightRecorder:
                 trace_id = record.get("trace", "")
                 if trace_id:
                     trace_ids.add(trace_id)
-        signals = sorted(
-            s.name for s in self._signal_catalog() if s.rule and s.rule in rules
-        )
         cluster = self.world.dsos.cluster
         store_seq = []
         if cluster.sharded:
@@ -652,19 +650,12 @@ class FlightRecorder:
         listed = sorted(trace_ids)
         return {
             "rules": sorted(rules),
-            "signals": signals,
+            "signals": rule_signals(rules),
             "incidents": sorted(incidents),
             "trace_ids": listed[: self.config.trace_id_cap],
             "trace_id_count": len(listed),
             "store_seq": store_seq,
         }
-
-    def _signal_catalog(self):
-        if self._catalog is None:
-            from repro.diagnosis.signals import default_catalog
-
-            self._catalog = default_catalog()
-        return self._catalog
 
     # -- introspection -------------------------------------------------
 

@@ -112,24 +112,12 @@ class FleetConsole:
         return panels
 
     def catalog_panels(self) -> list[PanelData]:
-        """The signal catalog page (with the completeness verdict)."""
+        """The signal catalog page."""
         rows = self.catalog.to_rows()
-        missing = self.catalog.missing()
-        title = (
-            f"signal catalog ({len(rows)} signals, "
-            + ("complete)" if not missing else f"MISSING {len(missing)})")
-        )
-        panels = [
-            PanelData(title=title, viz="table", payload=rows,
-                      rows_queried=len(rows)),
+        return [
+            PanelData(title=f"signal catalog ({len(rows)} signals)",
+                      viz="table", payload=rows, rows_queried=len(rows)),
         ]
-        if missing:
-            missing_rows = [{"missing": name} for name in missing]
-            panels.append(PanelData(
-                title="uncatalogued signals", viz="table",
-                payload=missing_rows, rows_queried=len(missing_rows),
-            ))
-        return panels
 
     def panels(self) -> list[PanelData]:
         """Every page, in console order: overview, drill-downs, catalog."""

@@ -105,7 +105,7 @@ def test_strategy_weights_are_normalized_scores():
 
 
 def test_explain_metrics_shape():
-    names = [name for name, _, _ in EXPLAIN_METRICS]
+    names = [s.name for s in EXPLAIN_METRICS]
     assert len(names) == len(set(names)) == 4
     assert all(name.startswith("explain_") for name in names)
 

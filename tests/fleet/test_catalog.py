@@ -1,27 +1,42 @@
-"""The signal catalog: completeness against the live registries.
+"""The signal catalog: the emitting modules' own rows, concatenated.
 
-The catalog's job is to make silent drift impossible: ``missing()``
-re-derives the expected names from the emitting modules' own tables
-every call, so adding a sampled series / rule / probe metric without a
-catalog row fails ``repro fleet --catalog --check``.  That derivation —
-not a hand-kept list — is what these tests pin.
+Each emitting module declares its signals as :class:`Signal` rows next
+to the code that emits them; the catalog adds nothing but uniqueness
+and ordering.  The row count and kind census pin the catalog's
+identity, and the rule-link test pins each sampled series' ``rule``
+against what the rules actually read.
 """
 
 import pytest
 
 from repro.diagnosis import (
+    DiagnosisConfig,
     Signal,
     SignalCatalog,
     default_catalog,
-    expected_signals,
+    default_rules,
+    rule_signals,
 )
+from repro.diagnosis.engine import SAMPLED_SERIES
 
 
 def test_default_catalog_is_complete():
+    from repro.diagnosis.explain import EXPLAIN_METRICS
+    from repro.diagnosis.rules import ALERT_METRICS
+    from repro.dsos.cluster import STORE_METRICS
+    from repro.fleet.probe import PROBE_METRICS
+    from repro.fleet.scorecard import SCORE_METRICS
+    from repro.telemetry.collector import HOP_METRICS
+    from repro.telemetry.flightrec import RECORDER_METRICS
+
+    tables = (SAMPLED_SERIES, ALERT_METRICS, HOP_METRICS, STORE_METRICS,
+              PROBE_METRICS, RECORDER_METRICS, EXPLAIN_METRICS,
+              SCORE_METRICS)
     catalog = default_catalog()
-    assert catalog.complete()
-    assert catalog.missing() == []
-    assert len(catalog) == len(expected_signals()) == 61
+    assert len(catalog) == sum(len(t) for t in tables) == 61
+    for table in tables:
+        for signal in table:
+            assert catalog.get(signal.name) is signal
 
 
 def test_catalog_covers_every_registry():
@@ -54,18 +69,69 @@ def test_series_rows_link_to_the_rules_they_feed():
     assert catalog.get("probe_latency_s").rule == ""  # dashboards only
 
 
-def test_missing_detects_an_uncatalogued_series(monkeypatch):
-    from repro.diagnosis import engine
+def test_every_row_is_sourced_from_its_emitting_module():
+    import importlib
 
-    catalog = default_catalog()  # built from today's registries
-    monkeypatch.setattr(
-        engine, "SAMPLED_SERIES",
-        engine.SAMPLED_SERIES + (("brand_new_series", "widgets", "new"),),
-    )
-    # The registry grew; the already-built catalog must notice.
-    assert catalog.missing() == ["brand_new_series"]
-    assert not catalog.complete()
-    assert catalog.to_dict()["missing"] == ["brand_new_series"]
+    for signal in default_catalog():
+        module = importlib.import_module(signal.source)
+        assert any(signal in table for table in vars(module).values()
+                   if isinstance(table, tuple)), signal.name
+
+
+class _Series:
+    """A window whose every statistic is large, so no rule returns
+    early before reading all the series it depends on."""
+
+    latest = 1e6
+
+    def delta(self, window_s):
+        return 1e6
+
+    def rate(self, window_s):
+        return 1e6
+
+    def baseline_rate(self, window_s, windows):
+        return 1e6
+
+
+class _RecordingView:
+    """A stub ``WindowView`` that records which series a rule reads."""
+
+    window_s = 1.0
+
+    def __init__(self):
+        self.read = set()
+
+    def series(self, name):
+        self.read.add(name)
+        return _Series()
+
+    def slowest_trace(self):
+        return None
+
+    def rank_window_counts(self):
+        return {}
+
+
+def test_sampled_series_rule_links_match_what_each_rule_reads():
+    sampled = [s for s in default_catalog()
+               if s.source == "repro.diagnosis.engine"]
+    for rule in default_rules(DiagnosisConfig()):
+        view = _RecordingView()
+        rule.evaluate(view)
+        linked = {s.name for s in sampled if s.rule == rule.name}
+        assert view.read == linked, rule.name
+
+
+def test_rule_signals_lists_every_row_feeding_the_rules():
+    assert rule_signals(["throughput_collapse"]) == [
+        "alert_throughput_collapse", "ingest_backlog", "stored_total",
+    ]
+    assert rule_signals({"latency_slo", "nonsense"}) == [
+        "alert_latency_slo", "e2e_count", "e2e_total_s",
+        "hop_latency_end_to_end",
+    ]
+    assert rule_signals(()) == []
 
 
 def test_register_duplicate_raises():

@@ -46,11 +46,11 @@ def test_probe_config_rejects_bad_values(bad):
 
 
 def test_probe_metrics_table_shape():
-    names = [name for name, _, _ in PROBE_METRICS]
+    names = [s.name for s in PROBE_METRICS]
     assert names == ["probe_latency_s", "probe_lost_total",
                      "probe_stragglers"]
-    for _, unit, description in PROBE_METRICS:
-        assert unit and description
+    for s in PROBE_METRICS:
+        assert s.unit and s.description
 
 
 # ------------------------------------------------------- flag_stragglers

@@ -74,7 +74,7 @@ def test_chaos_cluster_fails_via_matching_components(fleet_report):
 
 
 def test_gauges_cover_every_sampled_series(fleet_report):
-    expected = {name for name, _, _ in SAMPLED_SERIES}
+    expected = {s.name for s in SAMPLED_SERIES}
     for c in fleet_report:
         assert set(c.gauges) == expected
 

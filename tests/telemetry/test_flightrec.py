@@ -73,7 +73,7 @@ def test_config_per_stream_capacity_override():
 def test_stream_and_metric_registries_shape():
     names = [name for name, _ in STREAMS]
     assert len(names) == len(set(names)) == 8
-    metric_names = [name for name, _, _ in RECORDER_METRICS]
+    metric_names = [s.name for s in RECORDER_METRICS]
     assert all(name.startswith("flightrec_") for name in metric_names)
     assert len(metric_names) == len(set(metric_names))
 

@@ -141,3 +141,33 @@ def test_groupby_groups_exposes_indices():
     groups = df.groupby("k").groups()
     assert set(groups) == {(1,), (2,)}
     np.testing.assert_array_equal(groups[(1,)], [0, 2])
+
+
+def test_signal_row_lives_in_a_leaf_module():
+    import repro.diagnosis as diagnosis
+    import repro.signals as signals
+
+    assert diagnosis.Signal is signals.Signal
+    # The drift census is gone: rows are declared once, so there is no
+    # second name set to diff the catalog against.
+    assert not hasattr(diagnosis, "expected_signals")
+    assert not hasattr(diagnosis.SignalCatalog, "missing")
+    assert not hasattr(diagnosis.SignalCatalog, "complete")
+
+
+def test_store_and_telemetry_declare_rows_without_diagnosis():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    code = ("import sys, repro.dsos, repro.telemetry; print(sorted("
+            "m for m in sys.modules if m.startswith('repro.diagnosis')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"

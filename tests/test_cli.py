@@ -483,7 +483,7 @@ def test_repro_check_runs_named_gates(capsys):
     assert repro_main(["check", "fleet-catalog", "profile"]) == 0
     out = capsys.readouterr().out
     assert "== profile ==" in out and "== fleet-catalog ==" in out
-    assert "OK: catalog complete (61 signals)" in out
+    assert "OK: 61 signals; every rule link names a standard rule" in out
     assert out.rstrip().endswith("OK: 2 gate run(s) passed")
 
 
@@ -565,8 +565,8 @@ def test_repro_cli_version(capsys):
 def test_repro_cli_fleet_catalog_check(capsys):
     assert repro_main(["fleet", "--catalog", "--check"]) == 0
     out = capsys.readouterr().out
-    assert "== signal catalog (61 signals, complete) ==" in out
-    assert "OK: catalog complete (61 signals)" in out
+    assert "== signal catalog (61 signals) ==" in out
+    assert "OK: 61 signals; every rule link names a standard rule" in out
 
 
 def test_repro_cli_fleet_catalog_json(capsys):
@@ -575,27 +575,26 @@ def test_repro_cli_fleet_catalog_json(capsys):
     assert repro_main(["fleet", "--catalog", "--json"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)
-    assert payload["complete"] is True
-    assert payload["count"] == 61 and payload["missing"] == []
+    assert payload["count"] == len(payload["signals"]) == 61
+    assert set(payload) == {"count", "signals"}
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def test_repro_cli_fleet_catalog_check_fails_when_incomplete(
+def test_repro_cli_fleet_catalog_check_fails_on_a_dangling_rule_link(
     monkeypatch, capsys
 ):
-    # Simulate the stack emitting a signal nobody catalogued.  (The
-    # registries themselves can't be patched here: default_catalog()
-    # reads the same tables expected_signals() does, so growing one
-    # grows both.)
-    from repro.diagnosis import signals
+    # Negative control: a row linked to a rule the standard set does
+    # not define must fail the catalog gate.
+    from repro.fleet import probe
+    from repro.signals import Signal
 
-    real = signals.expected_signals
-    monkeypatch.setattr(signals, "expected_signals",
-                        lambda: real() | {"ghost_series"})
+    ghost = Signal("ghost_series", "u", "gauge", probe.__name__, "d",
+                   rule="no_such_rule")
+    monkeypatch.setattr(probe, "PROBE_METRICS", probe.PROBE_METRICS + (ghost,))
     with pytest.raises(SystemExit) as exc:
         repro_main(["fleet", "--catalog", "--check"])
     assert exc.value.code == 1
-    assert "FAIL: signals missing from the catalog: ghost_series" in (
+    assert "FAIL: signals linked to no standard rule: ghost_series" in (
         capsys.readouterr().out
     )
 
@@ -612,7 +611,7 @@ def test_repro_cli_fleet_scan_check(capsys):
     out = capsys.readouterr().out
     assert "== fleet readiness ==" in out
     assert "== attaway: scorecard" in out
-    assert "== signal catalog (61 signals, complete) ==" in out
+    assert "== signal catalog (61 signals) ==" in out
     assert ("OK: 3 scorecards reconcile exactly; chaos faults deducted "
             "via matching components") in out
 

@@ -1,17 +1,15 @@
-"""The fleet console: pages, rendering, and the catalog verdict.
+"""The fleet console: pages, rendering, and the catalog page.
 
 A hand-built two-cluster report (one clean, one degraded) exercises
 every page without running a scan, so these tests stay fast and pin
 exactly what the console shows: the readiness table with per-component
-deductions, the drill-down tables, and the signal-catalog page whose
-title carries the completeness verdict.
+deductions, the drill-down tables, and the signal-catalog page.
 """
 
 from dataclasses import dataclass, field
 
 import pytest
 
-from repro.diagnosis import default_catalog
 from repro.fleet import (
     COMPONENT_WEIGHTS,
     ComponentDeduction,
@@ -119,22 +117,8 @@ def test_unknown_cluster_raises_keyerror(console):
 
 def test_catalog_page_reports_complete(console):
     (panel,) = console.catalog_panels()
-    assert panel.title == "signal catalog (61 signals, complete)"
+    assert panel.title == "signal catalog (61 signals)"
     assert len(panel.payload) == 61
-
-
-def test_catalog_page_reports_missing(monkeypatch):
-    from repro.diagnosis import engine
-
-    console = FleetConsole((), default_catalog())
-    monkeypatch.setattr(
-        engine, "SAMPLED_SERIES",
-        engine.SAMPLED_SERIES + (("ghost_series", "u", "d"),),
-    )
-    catalog_panel, missing_panel = console.catalog_panels()
-    assert "MISSING 1" in catalog_panel.title
-    assert missing_panel.title == "uncatalogued signals"
-    assert missing_panel.payload == [{"missing": "ghost_series"}]
 
 
 def test_panels_order_overview_drilldowns_catalog(console):
@@ -151,7 +135,7 @@ def test_render_text_contains_every_page(console):
     text = console.render_text(width=100)
     assert "== fleet readiness ==" in text
     assert "== beta: scorecard (60/100, grade C) ==" in text
-    assert "== signal catalog (61 signals, complete) ==" in text
+    assert "== signal catalog (61 signals) ==" in text
     assert "STRAGGLER" not in text and "LOST" in text
 
 
