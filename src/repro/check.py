@@ -43,19 +43,18 @@ __all__ = [
     "verdict",
 ]
 
-#: Lane name -> ``(fast_lane, columnar)`` switches of a world/connector.
-LANES = {"slow": (False, False), "fast": (True, False),
-         "columnar": (True, True)}
+#: Lane name -> the ``fast_lane`` switch of a world/connector.
+LANES = {"slow": False, "fast": True}
 
 #: The lanes the multi-lane gates (explain, forensics) verify when no
-#: lane is named: the per-message reference path and the columnar lane,
+#: lane is named: the per-message reference path and the fast lane,
 #: whose spine must refuse to arm under their observers and fall back
 #: bit-identically.
-CHECK_LANES = ("slow", "columnar")
+CHECK_LANES = ("slow", "fast")
 
 
-def lane_flags(lane: str | None) -> tuple[bool, bool]:
-    """``(fast_lane, columnar)`` for ``lane``; ``None`` is the fast lane."""
+def lane_flags(lane: str | None) -> bool:
+    """``fast_lane`` for ``lane``; ``None`` is the fast lane."""
     return LANES[lane or "fast"]
 
 
@@ -165,9 +164,9 @@ _G = "repro.experiments.gates:"
 GATES = (
     Gate("bench", _G + "bench", options=(("quick", True),)),
     Gate("telemetry", _G + "telemetry"),
-    Gate("chaos", _G + "chaos", lanes=("fast", "slow", "columnar"), seed=3,
+    Gate("chaos", _G + "chaos", lanes=("fast", "slow"), seed=3,
          options=(("seeds", 3),)),
-    Gate("store", _G + "store", lanes=("slow", "columnar"),
+    Gate("store", _G + "store", lanes=CHECK_LANES,
          options=(("mode", "drill"),)),
     Gate("diagnose", _G + "diagnose", lanes=("fast", "slow")),
     Gate("profile", _G + "profile"),

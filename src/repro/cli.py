@@ -4,7 +4,7 @@ and run the campaign gates.
 Usage::
 
     python -m repro.cli table2c --families 400   # any table/figure/ablation
-    python -m repro.cli chaos --seed 3 --seeds 3 --check --columnar
+    python -m repro.cli chaos --seed 3 --seeds 3 --check --no-fast-lane
     python -m repro.cli check [NAME ...]         # every gate, or the named
     python -m repro.cli <command> --help          # a command's flags
 
@@ -144,40 +144,36 @@ def _report() -> None:
 
 
 class _Pick(argparse.Action):
-    """One of several flags choosing a value for a shared ``dest`` (the
-    lane, or a subcommand's mode).  A second, different choice is a
-    usage error; a valued flag (``--show ID``) also stores its value
-    under the chosen name."""
+    """One of several flags choosing a subcommand's mode.  A second,
+    different choice is a usage error; a valued flag (``--show ID``)
+    also stores its value under the chosen name."""
 
-    def __init__(self, option_strings, dest, const, nargs=0,
-                 conflict="{prior} and {flag} are mutually exclusive", **kw):
+    def __init__(self, option_strings, dest, const, nargs=0, **kw):
         super().__init__(option_strings, dest, nargs=nargs, const=const, **kw)
-        self.conflict = conflict
 
     def __call__(self, parser, namespace, values, option_string=None):
         prior = getattr(namespace, self.dest, None)
         if prior not in (None, self.const):
-            raise argparse.ArgumentError(self, self.conflict.format(
-                prior=f"--{prior}", flag=option_string))
+            raise argparse.ArgumentError(
+                self, f"--{prior} and {option_string} are mutually exclusive")
         setattr(namespace, self.dest, self.const)
         if self.nargs != 0:
             setattr(namespace, self.const, values)
 
 
-def _flag(*names, parents=(), **kw) -> argparse.ArgumentParser:
-    """A parent parser holding one flag (plus ``parents``' flags).
+def _flag(*names, **kw) -> argparse.ArgumentParser:
+    """A parent parser holding one flag.
 
     Nothing defaults: a flag that is not given is absent from the
     parsed namespace, so each gate function's keyword defaults are the
     only defaults.
     """
-    parser = argparse.ArgumentParser(add_help=False, parents=parents,
+    parser = argparse.ArgumentParser(add_help=False,
                                      argument_default=_SUPPRESS)
     parser.add_argument(*names, **kw)
     return parser
 
 
-_NO_COLUMNAR = "--columnar requires the fast lane (drop --no-fast-lane)"
 _SEED = _flag("--seed", type=int, help="campaign seed (default 42)")
 _RPN = _flag("--ranks-per-node", type=int, help="MPI ranks per node")
 _REPS = _flag("--reps", type=int, help="repetitions (default 2)")
@@ -189,12 +185,9 @@ _JSON = _flag("--json", action="store_true",
               help="sorted, byte-stable JSON on stdout")
 _CHECK = _flag("--check", action="store_true",
                help="verify the gate's invariants; exit 1 if any is broken")
-_SLOW = _flag("--no-fast-lane", action=_Pick, dest="lane", const="slow",
-              conflict=_NO_COLUMNAR,
+_SLOW = _flag("--no-fast-lane", action="store_const", dest="lane",
+              const="slow",
               help="per-message reference path instead of the fast lane")
-_LANES = _flag("--columnar", action=_Pick, dest="lane", const="columnar",
-               conflict=_NO_COLUMNAR, parents=[_SLOW],
-               help="arm the columnar record-batch lane (bit-identical)")
 
 
 def _modes(*names):
@@ -244,18 +237,18 @@ def _parser() -> argparse.ArgumentParser:
         _flag("--inject-failure", action="store_true",
               help="crash the L1 aggregator mid-run"),
         help="pipeline telemetry and loss reconciliation")
-    add("chaos", g + "chaos", _SEED, _RPN, _FAIL_AFTER, _LANES, _JSON, _CHECK,
+    add("chaos", g + "chaos", _SEED, _RPN, _FAIL_AFTER, _SLOW, _JSON, _CHECK,
         _flag("--seeds", type=int, help="sweep this many consecutive seeds "
               "starting at --seed in one process"),
         help="seeded chaos campaign against the self-healing pipeline")
-    add("store", g + "store", _SEED, _RPN, _LANES, _JSON, _CHECK,
+    add("store", g + "store", _SEED, _RPN, _SLOW, _JSON, _CHECK,
         *_modes("drill", "topology"),
         _flag("--no-repair", action="store_false", dest="repair",
               help="disable anti-entropy repair (negative control)"),
         help="replicated-store topology and crash drill")
     add("diagnose", g + "diagnose", _SEED, _RPN, _FAIL_AFTER, _SLOW, _JSON,
         _CHECK, help="live diagnosis scored against injected faults")
-    add("explain", g + "explain", _SEED, _LANES, _JSON, _CHECK,
+    add("explain", g + "explain", _SEED, _SLOW, _JSON, _CHECK,
         _flag("--job", type=int, help="job id to explain (default: the "
               "campaign's own job)"),
         help="bottleneck verdicts scored against injected faults")
@@ -277,11 +270,11 @@ def _parser() -> argparse.ArgumentParser:
         _flag("--quick", action="store_true", help="reduced campaign for CI"),
         _flag("--out", help="tracked result path (default "
               "benchmarks/BENCH_pipeline.json)"),
-        help="pipeline lane benchmark (slow, fast, columnar)")
+        help="pipeline lane benchmark (slow vs fast lane)")
     add("fleet", g + "fleet", _SLOW, _JSON, _CHECK,
         *_modes("scan", "export", "catalog"),
         help="fleet health console, OpenMetrics export, signal catalog")
-    add("forensics", g + "forensics", _SEED, _FAIL_AFTER, _LANES, _JSON,
+    add("forensics", g + "forensics", _SEED, _FAIL_AFTER, _SLOW, _JSON,
         _CHECK, *_modes("capture"),
         _flag("--show", action=_Pick, dest="mode", const="show", nargs=None,
               metavar="BUNDLE", help="one frozen bundle's timeline"),

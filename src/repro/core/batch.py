@@ -41,9 +41,12 @@ scenario and slightly generous — rows a real crash would have purged
 from an outbox instead finish delivery — which is why every
 guard-breaking scenario falls back *before* the mutation applies.
 
-Ties at identical float times may resolve in a different order than
-the event-driven path (the spine schedules no events to tie against);
-with continuous service times such ties do not occur — the same caveat
+Rows arriving at one instant (synchronized ranks, equal-size transfers
+from several nodes) batch exactly as the real forwarders' deferred
+same-instant kicks batch them.  Ties between causally unrelated entries
+— a transfer completing at the very instant of a publish — may resolve
+in a different order than the event-driven path; with continuous
+service times such ties do not occur — the same caveat
 :meth:`~repro.cluster.network.Network.transfer_coalesced` documents.
 """
 
@@ -198,10 +201,12 @@ class _VirtualForwarder:
     Occupancy is a timestamp, not a flag: ``busy_until`` is the instant
     the hop frees up.  A transfer started by :meth:`drain` leaves a
     completion entry in the spine's heap (``tracked``); a transfer
-    fused closed-form by :meth:`ColumnarSpine._fuse` leaves only the
+    fused closed-form by :meth:`ColumnarSpine.append` leaves only the
     timestamp, so a later row that queues behind it plants a one-shot
     drain marker (``pending_drain``) at ``busy_until`` — the instant
-    the real ``_kick`` loop would have drained it.
+    the real ``_kick`` loop would have drained it.  The same marker,
+    planted at the enqueue instant, is the real forwarder's deferred
+    same-instant kick (:meth:`ColumnarSpine._kick`).
     """
 
     __slots__ = (
@@ -392,9 +397,13 @@ class ColumnarSpine:
         self._hseq += 1
 
     def advance(self, now: float) -> None:
-        """Apply every virtual completion due at or before ``now``."""
+        """Apply every virtual completion due strictly before ``now``.
+
+        Entries at ``now`` itself wait: a kick deferred at this very
+        instant must still see rows published at it join its batch.
+        """
         heap = self._heap
-        while heap and heap[0][0] <= now:
+        while heap and heap[0][0] < now:
             t, _, vfwd, batch, total = heapq.heappop(heap)
             self._complete(vfwd, batch, total, t)
         if len(self._slab) >= self._slab_cap:
@@ -421,7 +430,7 @@ class ColumnarSpine:
     ) -> None:
         """One published event enters the spine at ``env.now``.
 
-        The caller (the connector's columnar lane) has already advanced
+        The caller (the connector's fast lane) has already advanced
         the clock to the publish-completion instant ``t_done`` and
         charged its own stats; this mirrors ``publish_prepaid`` → bus →
         forwarder-enqueue exactly, then lets the virtual transport run.
@@ -440,8 +449,11 @@ class ColumnarSpine:
         bus_stats.published += 1
         bus_stats.bytes_published += nbytes
         l1 = self._l1
+        # Engine events due at this instant run before the real
+        # forwarder's kick — possibly more publishes joining its batch.
+        engine_due = env.peek() <= now
         if (
-            not self._heap
+            not self._heap and not engine_due
             and not vfwd.outbox and vfwd.busy_until <= now
             and not l1.outbox
             and 0 < vfwd.capacity and 0 < l1.capacity
@@ -537,9 +549,29 @@ class ColumnarSpine:
         bus_stats.delivered += 1
         if collector is not None:
             collector.hop(trace_id, _trace.STAGE_BUS, node, _trace.DELIVERED)
-        vfwd.drain(now)
+        self._kick(vfwd, now, engine_due)
         if now > self.last_time:
             self.last_time = now
+
+    def _kick(self, vfwd, t: float, engine_due: bool = False) -> None:
+        """The real forwarder's enqueue kick, at ``t``.
+
+        ``_Forwarder.enqueue`` on an idle hop schedules its drain as a
+        same-instant event, *behind* everything already due at ``t`` —
+        so rows arriving at the identical instant (synchronized ranks,
+        equal-size transfers from several nodes) leave as one batch.
+        Mirrored exactly: while anything else is due at ``t`` (engine
+        events, or earlier virtual entries at ``t``) the drain is a heap
+        marker at ``t``, ordered after them; otherwise it runs now.
+        """
+        if vfwd.pending_drain:
+            return  # a queued marker drains this hop
+        heap = self._heap
+        if vfwd.busy_until <= t and (engine_due or (heap and heap[0][0] <= t)):
+            vfwd.pending_drain = True
+            self._push(t, vfwd, None, 0)
+        else:
+            vfwd.drain(t)
 
     def _fused_telemetry(
         self, collector, vfwd, l1,
@@ -584,8 +616,9 @@ class ColumnarSpine:
     def _complete(self, vfwd, batch: RecordBatch, total: int, t: float) -> None:
         """A virtual transfer finished at ``t``: deliver, drain again."""
         if batch is None:
-            # Deferred-drain marker: the fused transfer occupying this
-            # hop finished at ``t``; the queued rows drain now.
+            # Drain marker: a deferred same-instant kick, or the fused
+            # transfer occupying this hop finished at ``t``; the queued
+            # rows drain now.
             vfwd.pending_drain = False
             vfwd.drain(t)
             return
@@ -624,12 +657,13 @@ class ColumnarSpine:
                 collector.hop(tid, stage, node, _trace.FORWARDED, t_in=t_in, t_out=t)
 
     def _deliver_to_l1(self, batch: RecordBatch, t: float) -> None:
-        """Group-enqueue at the L1 relay, then one deferred drain.
+        """Group-enqueue at the L1 relay, then one deferred kick.
 
         Mirrors ``receive_batch``: every row passes through the L1 bus
-        (stats + hops) into the L1 outbox; the drain runs once after
-        the whole group is queued — the same schedule as the real
-        deferred same-instant kick firing after all n publishes.
+        (stats + hops) into the L1 outbox; the kick runs once after
+        the whole group is queued, and behind any other delivery due at
+        ``t`` — the same schedule as the real deferred same-instant
+        kick firing after all n publishes.
         """
         l1 = self._l1
         fwd = l1.fwd
@@ -664,7 +698,7 @@ class ColumnarSpine:
                 collector.hop(
                     tid, _trace.STAGE_BUS, node, _trace.DELIVERED, t_in=t, t_out=t
                 )
-        l1.drain(t)
+        self._kick(l1, t)
 
     def _ingest(self, batch: RecordBatch, t: float) -> None:
         """Terminal delivery: L2 bus accounting + columnar DSOS ingest.

@@ -50,9 +50,11 @@ class ConnectorConfig:
     #: current behaviour; >1 = the future-work sampling).
     sample_every: int = 1
     cost_model: FormatCostModel = field(default_factory=FormatCostModel)
-    #: Host-side fast lane: template-compiled formatting plus coalesced
-    #: publish (format + send charged in one engine trip at the exact
-    #: times the two-trip path computes).  Simulated results are
+    #: Host-side fast lane: column-wise template formatting (payload
+    #: join deferred) plus coalesced publish (format + send charged in
+    #: one engine trip at the exact times the two-trip path computes);
+    #: when the world's express spine is armed, events enter it as
+    #: record-batch rows instead of messages.  Simulated results are
     #: bit-identical either way; False keeps the reference path.
     fast_lane: bool = True
     #: Spill-to-Darshan-log fallback (the real connector's behaviour
@@ -64,11 +66,9 @@ class ConnectorConfig:
     reconnect_base_s: float = 0.05
     reconnect_cap_s: float = 2.0
     reconnect_max_attempts: int = 30
-    #: Columnar record-batch lane: events render column-wise (payload
-    #: join deferred) and, when the world's express spine is armed, a
-    #: rank's burst moves through publish→forward→ingest as one
-    #: RecordBatch instead of N messages.  Simulated results are
-    #: bit-identical to both existing lanes; requires ``fast_lane``.
+    #: Selects nothing (the fast lane always renders column-wise); kept
+    #: only because ``perfbench/workloads.py`` still passes it.  ``True``
+    #: still requires ``fast_lane``.
     columnar: bool = False
 
     def __post_init__(self) -> None:
@@ -129,14 +129,14 @@ class DarshanLdmsConnector:
         self.env = runtime.env
         self.config = config
         self._daemon_for_node = daemon_for_node
-        self.builder = MessageBuilder(config.cost_model, fast=config.fast_lane)
+        self.builder = MessageBuilder(config.cost_model)
         self.sampler = EventSampler(config.sample_every)
         self.stats = ConnectorStats()
         # Frozen-config fields the per-event path reads, hoisted to
         # plain attributes (one lookup instead of two, 62k+ times).
         self._stream_tag = config.stream_tag
         self._format_mode = config.format_mode
-        self._columnar = config.columnar
+        self._fast_lane = config.fast_lane
         self._spill_enabled = config.spill
         self._sample_all = config.sample_every == 1
         self._job_id = runtime.job_id
@@ -173,7 +173,7 @@ class DarshanLdmsConnector:
             stats.messages_suppressed += 1
             return
 
-        if self._columnar:
+        if self._fast_lane:
             formatted = self.builder.format_columnar(
                 event, mode=self._format_mode,
                 lazy=not self._spill_enabled,
@@ -195,8 +195,8 @@ class DarshanLdmsConnector:
                     parsed=formatted.shape.parsed(formatted.values),
                 )
             # else: shape miss or ablation mode — ``formatted`` is a
-            # regular FormattedMessage; continue through the standard
-            # lanes below.
+            # regular FormattedMessage; continue through the coalesced
+            # publish below.
         else:
             formatted = self.builder.format(event, mode=self.config.format_mode)
         stats.numeric_conversions += formatted.numeric_conversions
@@ -205,9 +205,9 @@ class DarshanLdmsConnector:
         daemon = self._daemon_for_node(event.context.node_name)
         trace_id = self._next_trace_id(event.context.rank)
 
-        if self.config.spill:
+        if self._spill_enabled:
             yield from self._publish_or_spill(event, payload, formatted, daemon, trace_id)
-        elif self.config.fast_lane:
+        elif self._fast_lane:
             # Coalesced publish: one engine trip instead of two.  The
             # slow lane advances the clock twice — to t_pub after the
             # format timeout, then to t_done after the publish cost — so
@@ -255,11 +255,11 @@ class DarshanLdmsConnector:
         stats.bytes_published += len(payload)
 
     def _publish_columnar(self, event: IOEvent, formatted: ColumnarFormatted):
-        """The columnar lane's publish half.
+        """The fast lane's publish half.
 
         Express path (armed spine): both lane instants — ``t_pub`` and
-        ``t_done`` — are computed with the fast lane's exact float
-        operand order, the engine clock fast-forwards with **zero**
+        ``t_done`` — are computed with the coalesced publish's exact
+        float operand order, the engine clock fast-forwards with **zero**
         events when no other process is due in the window, and the
         event enters the spine's virtual transport as one record-batch
         row.  That path is a plain call — no generator exists for it;
@@ -268,7 +268,7 @@ class DarshanLdmsConnector:
         which the spine is *re-checked*: a de-arm during the wait sends
         the event down the per-message path it now belongs to, where a
         lazy :class:`~repro.core.batch.ColumnarMessage` rides the
-        identical pipeline the fast lane uses).
+        event-driven pipeline).
         """
         stats = self.stats
         stats.numeric_conversions += formatted.numeric_conversions
@@ -305,7 +305,7 @@ class DarshanLdmsConnector:
     def _publish_columnar_wait(
         self, event, formatted, daemon, trace_id, nbytes, t_pub, t_done
     ):
-        """The columnar publish that needs a real engine wait."""
+        """The fast-lane publish that needs a real engine wait."""
         env = self.env
         yield env.timeout_at(t_done)
         spine = spine_for(env)

@@ -24,11 +24,13 @@ the payload is not.  Messages from one (context, module, op) shape
 differ only in a handful of numeric fields, so the builder precompiles
 a payload template per shape — the static JSON chunks rendered once,
 the varying numerics interpolated per event — and memoizes the
-numeric-field count instead of walking every message.  Each template is
-verified against the full ``json.dumps`` path once at compile time (and
-per message under ``REPRO_FORMAT_DEBUG=1``), so fast and slow lanes are
-byte-identical by construction; shapes that fail the self-check fall
-back to the slow path.
+numeric-field count instead of walking every message.  The fast lane
+renders column-wise (:meth:`MessageBuilder.format_columnar`): only the
+varying slots, with the payload join deferred until something reads it.
+Each template is verified against the full ``json.dumps`` path once at
+compile time (and per message under ``REPRO_FORMAT_DEBUG=1``), so fast
+and slow lanes are byte-identical by construction; shapes that fail the
+self-check fall back to the slow path.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ class FormattedMessage:
     format_cost_s: float
     #: Fast-lane extra: the dict ``json.loads(payload)`` would produce,
     #: rebuilt from the shape's template so downstream consumers (the
-    #: DSOS store) can skip the parse.  None on the slow path.
+    #: DSOS store) can skip the parse.  None from
+    #: :meth:`MessageBuilder.format`.
     parsed: dict | None = None
 
 
@@ -194,7 +197,7 @@ class _Shape:
         Returns ``(value_strings, numeric, payload_chars)`` where
         ``payload_chars`` equals ``len(self.payload(value_strings))``
         exactly — the cost model and ``size_bytes`` accounting need the
-        length, but the columnar lane may never need the joined string.
+        length, but the fast lane may never need the joined string.
         """
         vstrs = []
         append = vstrs.append
@@ -226,8 +229,8 @@ class _Shape:
         Exactly the last two results of :meth:`render_parts` — int slot
         lengths come from the digit-count table instead of ``repr``,
         floats still repr for their length (no closed form exists) —
-        but no value string is kept.  The express columnar lane never
-        joins a payload, so this is all it needs.
+        but no value string is kept.  The express spine never joins a
+        payload, so this is all it needs.
         """
         n = self.static_numeric + len(values)
         chars = self.static_chars
@@ -273,7 +276,7 @@ class _Shape:
 class ColumnarFormatted:
     """One event rendered column-wise: the shape, its slot values and
     their string renderings, plus the usual accounting — with the
-    payload join and dict materialization deferred.  The columnar lane
+    payload join and dict materialization deferred.  The fast lane
     appends these straight into a RecordBatch; the joined payload is
     only ever built if something downstream actually reads it."""
 
@@ -298,11 +301,9 @@ class MessageBuilder:
         self,
         cost_model: FormatCostModel | None = None,
         *,
-        fast: bool = True,
         debug: bool | None = None,
     ):
         self.cost_model = cost_model or FormatCostModel()
-        self._fast = fast
         self._debug = FORMAT_DEBUG if debug is None else debug
         #: shape key -> _Shape (or None: self-check failed, use slow path).
         self._shapes: dict[tuple, "_Shape | None"] = {}
@@ -478,9 +479,11 @@ class MessageBuilder:
     def format(self, event: IOEvent, mode: str = "json") -> FormattedMessage:
         """Assemble and serialize; returns payload + charged cost.
 
-        ``mode="json"`` is the production path; ``mode="none"`` is the
-        paper's ablation — the send function is called with a constant
-        placeholder payload and no conversions happen.
+        The slow lane's formatter, and the reference every fast-lane
+        rendering is checked against.  ``mode="json"`` is the
+        production path; ``mode="none"`` is the paper's ablation — the
+        send function is called with a constant placeholder payload and
+        no conversions happen.
         """
         if mode == "none":
             return FormattedMessage(
@@ -489,51 +492,28 @@ class MessageBuilder:
             )
         if mode != "json":
             raise ValueError(f"unknown format mode {mode!r} (use 'json' or 'none')")
-        if not self._fast:
-            return self._format_slow(event)
-
-        shapes = self._shapes
-        key = self._shape_key(event)
-        shape = shapes.get(key, _MISSING)
-        if shape is _MISSING:
-            shape = shapes[key] = self._compile(event)
-        if shape is None:
-            return self._format_slow(event)
-        values = self._values(event)
-        payload, numeric = shape.render(values)
-        parsed = shape.parsed(values)
-        if self._debug:
-            reference = self._format_slow(event)
-            assert payload == reference.payload, (payload, reference.payload)
-            assert numeric == reference.numeric_conversions
-            assert parsed == json.loads(payload)
-        cost = self.cost_model.cost(numeric, len(payload))
-        return FormattedMessage(
-            payload=payload, numeric_conversions=numeric, format_cost_s=cost,
-            parsed=parsed,
-        )
+        return self._format_slow(event)
 
     def format_columnar(
         self, event: IOEvent, mode: str = "json", *, lazy: bool = False
     ) -> "ColumnarFormatted | FormattedMessage":
-        """Columnar-lane front half: render the varying slots, skip the
+        """The fast lane's formatter: render the varying slots, skip the
         payload join.
 
         Returns a :class:`ColumnarFormatted` when the shape compiles.
         Falls back to :meth:`format`'s FormattedMessage for the
-        ``mode="none"`` ablation, shapes that failed their self-check,
-        the slow builder, and debug mode (where the per-message
-        cross-check needs the joined payload anyway).  Costs and counts
-        are identical either way: ``payload_chars`` is exactly the
-        joined payload's length.
+        ``mode="none"`` ablation and for shapes that failed their
+        self-check.  Costs and counts are identical either way:
+        ``payload_chars`` is exactly the joined payload's length.
 
         With ``lazy=True`` even the per-slot value strings are skipped
         (``vstrs`` is None): :meth:`_Shape.render_meta` supplies the
         identical numeric/char accounting, and any consumer that does
         need the payload re-renders from ``values`` — the express spine
-        never does.
+        never does.  In debug mode every message is cross-checked
+        against :meth:`_format_slow`.
         """
-        if mode != "json" or not self._fast or self._debug:
+        if mode != "json":
             return self.format(event, mode)
         shapes = self._shapes
         key = self._shape_key(event)
@@ -544,9 +524,17 @@ class MessageBuilder:
             return self._format_slow(event)
         values = self._values(event)
         if lazy:
+            vstrs = None
             numeric, nchars = shape.render_meta(values)
-            cost = self.cost_model.cost(numeric, nchars)
-            return ColumnarFormatted(shape, values, None, numeric, nchars, cost)
-        vstrs, numeric, nchars = shape.render_parts(values)
+        else:
+            vstrs, numeric, nchars = shape.render_parts(values)
+        if self._debug:
+            reference = self._format_slow(event)
+            payload = (shape.render(values)[0] if vstrs is None
+                       else shape.payload(vstrs))
+            assert payload == reference.payload, (payload, reference.payload)
+            assert numeric == reference.numeric_conversions
+            assert nchars == len(reference.payload)
+            assert shape.parsed(values) == json.loads(payload)
         cost = self.cost_model.cost(numeric, nchars)
         return ColumnarFormatted(shape, values, vstrs, numeric, nchars, cost)

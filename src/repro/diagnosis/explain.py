@@ -17,7 +17,7 @@ incidents, never the injected ground truth.  The ground truth is used
 :data:`CLASSIFIERS` map (the verdict-level sibling of
 :data:`~repro.diagnosis.scoring.DETECTORS`) into per-class
 precision/recall/confusion — ``repro explain --check`` requires both
-at 1.0 on the slow and columnar lanes, with a fault-free control run
+at 1.0 on the slow and fast lanes, with a fault-free control run
 classifying ``healthy``.
 
 Everything is a deterministic pure read over a finished world: a
@@ -694,7 +694,6 @@ class ExplainCampaign:
 
 
 def explain_campaign(seed: int = 42, *, fast: bool = True,
-                     columnar: bool = False,
                      faults="explain") -> ExplainCampaign:
     """Run the four-class chaos campaign and explain its job.
 
@@ -712,7 +711,7 @@ def explain_campaign(seed: int = 42, *, fast: bool = True,
     from repro.ldms.resilience import RetryPolicy
 
     world, result = mpiio_campaign(
-        seed, fast, columnar, iterations=24,
+        seed, fast, iterations=24,
         connector=ConnectorConfig(spill=True, fast_lane=fast),
         telemetry=True, retry=RetryPolicy(), standby_l1=True,
         faults=explain_plan() if faults == "explain" else faults,
@@ -741,11 +740,10 @@ def check_explain(seed: int = 42, lane: str | None = None) -> Check:
     lanes = CHECK_LANES if lane is None else (lane,)
     lines, payload = [], {}
     for label in lanes:
-        fast, columnar = lane_flags(label)
-        first = explain_campaign(seed, fast=fast, columnar=columnar)
-        second = explain_campaign(seed, fast=fast, columnar=columnar)
-        clean = explain_campaign(seed, fast=fast, columnar=columnar,
-                                 faults=None)
+        fast = lane_flags(label)
+        first = explain_campaign(seed, fast=fast)
+        second = explain_campaign(seed, fast=fast)
+        clean = explain_campaign(seed, fast=fast, faults=None)
         stable = first.report.to_json() == second.report.to_json()
         score = first.score
         payload[label] = {"byte_stable": stable, "classes": score.emitted,

@@ -369,8 +369,7 @@ class CaptureResult:
         return self.recorder.bundle(bundle_id)
 
 
-def capture_campaign(seed: int = 42, *, fast: bool = True,
-                     columnar: bool = False, faults="chaos",
+def capture_campaign(seed: int = 42, *, fast: bool = True, faults="chaos",
                      fail_after: int = 50,
                      snapshot_id: str | None = None) -> CaptureResult:
     """Run the chaos campaign with diagnosis + flight recorder armed.
@@ -386,7 +385,7 @@ def capture_campaign(seed: int = 42, *, fast: bool = True,
     from repro.ldms.resilience import RetryPolicy
 
     world, result = mpiio_campaign(
-        seed, fast, columnar,
+        seed, fast,
         connector=ConnectorConfig(spill=True, fast_lane=fast),
         telemetry=True, retry=RetryPolicy(), standby_l1=True,
         faults=chaos_plan(fail_after) if faults == "chaos" else faults,
@@ -416,10 +415,9 @@ def check_forensics(seed: int = 42, lane: str | None = None, *,
     lanes = CHECK_LANES if lane is None else (lane,)
     lines, payload = [], {}
     for label in lanes:
-        fast, columnar = lane_flags(label)
+        fast = lane_flags(label)
         first, second = (
-            capture_campaign(seed, fast=fast, columnar=columnar,
-                             fail_after=fail_after)
+            capture_campaign(seed, fast=fast, fail_after=fail_after)
             for _ in range(2)
         )
         stable = ([b.to_canonical_json() for b in first.bundles]

@@ -6,11 +6,10 @@ aggregation → DSOS ingest — once per lane, **in the same process** so
 the walls are comparable:
 
 * ``slow`` — every fast-lane switch off: the per-message reference path.
-* ``fast`` — template formatting, coalesced publish, batched forward
-  delivery and batched DSOS ingest.
-* ``columnar`` — the record-batch spine: bursts move as columnar
-  RecordBatches and, with the express spine armed, publish→forward→
-  ingest is virtualized so engine events scale with application I/O.
+* ``fast`` — column-wise template formatting, coalesced publish, batched
+  forward delivery and batched DSOS ingest; with the express spine
+  armed (this campaign's inert world arms it), publish→forward→ingest
+  is virtualized so engine events scale with application I/O.
 
 Host wall-clock, host events/sec, engine event count and a *per-lane*
 peak RSS are recorded; results land in ``benchmarks/BENCH_pipeline.json``
@@ -23,7 +22,7 @@ The report separates what may differ from what must not:
   change;
 * one shared ``simulated`` section holds the simulated outcome
   (messages, bytes, conversions, overhead seconds, rows, sim runtime),
-  asserted identical across all three lanes on every run.  Earlier
+  asserted identical across both lanes on every run.  Earlier
   revisions duplicated these per lane, which read as a
   counters-not-reset bug; each lane runs a fresh world and connector,
   and ``benchmarks/test_perf_pipeline.py`` pins the per-run freshness.
@@ -41,11 +40,10 @@ quick campaign against the tracked file's ``quick`` section, written
 by ``repro bench --quick``, since its ratios differ from the full
 campaign's) and the ratios versus the recorded baselines —
 ``seed_baseline`` (the tree this optimization series branched from)
-and ``fast_baseline`` (the fast lane as committed by the previous
-optimization PR, the ~9.4k events/s the columnar spine is measured
-against).
+and ``fast_baseline`` (the event-driven fast lane before the express
+spine, the ~9.4k events/s the spine is measured against).
 
-Every lane is a pure host-side optimization: simulated results are
+The fast lane is a pure host-side optimization: simulated results are
 bit-identical across lanes — ``tests/property/test_fastlane_properties``
 and ``tests/property/test_columnar_properties`` hold that line, and
 :func:`pipeline_benchmark` re-asserts the cheap invariants on every run.
@@ -81,7 +79,7 @@ DEFAULT_RESULT_PATH = (
 RESULTS_DIR = DEFAULT_RESULT_PATH.parent / "results"
 
 #: The benchmark lanes, in run order (slowest first).
-LANES = ("slow", "fast", "columnar")
+LANES = ("slow", "fast")
 
 
 def snapshot_path(day=None) -> Path:
@@ -122,9 +120,9 @@ SEED_BASELINE = {
     "events_per_sec": [4584, 3824],
 }
 
-#: The fast lane as committed by the previous optimization PR (full
-#: campaign, reference machine) — the baseline the columnar spine's
-#: ≥3x target is measured against.
+#: The event-driven fast lane before the express spine (full campaign,
+#: reference machine) — the baseline the spine's ≥3x target is
+#: measured against.
 FAST_BASELINE = {
     "campaign": SEED_BASELINE["campaign"],
     "events_seen": 62159,
@@ -134,7 +132,7 @@ FAST_BASELINE = {
 }
 
 #: Runs per lane; each lane reports its median, because one run is
-#: noisy (three columnar runs of the full campaign took 2.09-2.58 s).
+#: noisy (three fast-lane runs of the full campaign took 2.09-2.58 s).
 REPEATS = 3
 
 #: Reduced campaign for CI (--quick): same shape, smaller Pfam input.
@@ -192,18 +190,16 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
     from repro.experiments.runner import run_job
     from repro.experiments.world import World, WorldConfig
 
-    fast = lane != "slow"
-    columnar = lane == "columnar"
+    fast = lane == "fast"
     rss_resettable = _reset_peak_rss()
     world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=2,
-        fast_lane=fast, columnar=columnar,
+        seed=seed, quiet=True, n_compute_nodes=2, fast_lane=fast,
     ))
     app = Hmmer(ranks_per_node=8, n_families=n_families)
     t0 = time.perf_counter()
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(fast_lane=fast, columnar=columnar),
+        connector_config=ConnectorConfig(fast_lane=fast),
     )
     wall_s = time.perf_counter() - t0
     stats = result.connector.stats
@@ -243,8 +239,8 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
 def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
     """Run the tracked pipeline benchmark; returns the result payload.
 
-    Runs the slow (reference) lane, the fast lane, then the columnar
-    lane in this process, :data:`REPEATS` rounds in that order, and asserts
+    Runs the slow (reference) lane, then the fast lane in this
+    process, :data:`REPEATS` rounds in that order, and asserts
     the simulated outcomes match: no lane may buy speed with fidelity.
     Each lane reports the median of its runs (wall, hence events/s, and
     peak RSS), with every run's wall in ``wall_s_runs`` as the spread.
@@ -286,11 +282,11 @@ def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
         not quick and reference["events_seen"] == SEED_BASELINE["events_seen"]
     )
     vs_seed = (
-        round(eps["columnar"] / min(SEED_BASELINE["events_per_sec"]), 2)
+        round(eps["fast"] / min(SEED_BASELINE["events_per_sec"]), 2)
         if full_campaign else None
     )
     vs_fast_baseline = (
-        round(eps["columnar"] / FAST_BASELINE["events_per_sec"], 2)
+        round(eps["fast"] / FAST_BASELINE["events_per_sec"], 2)
         if full_campaign else None
     )
     return {
@@ -305,10 +301,7 @@ def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
         "simulated": reference,
         "slow": hosts["slow"],
         "fast": hosts["fast"],
-        "columnar": hosts["columnar"],
         "speedup_events_per_sec": round(eps["fast"] / eps["slow"], 3),
-        "speedup_columnar_vs_fast": round(eps["columnar"] / eps["fast"], 3),
-        "speedup_columnar_vs_slow": round(eps["columnar"] / eps["slow"], 3),
         "speedup_vs_seed_baseline": vs_seed,
         "speedup_vs_fast_baseline": vs_fast_baseline,
     }

@@ -43,7 +43,7 @@ def _faults_text(applied, epoch: float) -> str:
     ])
 
 
-def mpiio_campaign(seed: int, fast_lane: bool = True, columnar: bool = False,
+def mpiio_campaign(seed: int, fast_lane: bool = True,
                    *, ranks_per_node: int = 4, iterations: int = 8,
                    connector=None, gap_s: float = 0.0, setup=None,
                    **world_kw):
@@ -61,8 +61,7 @@ def mpiio_campaign(seed: int, fast_lane: bool = True, columnar: bool = False,
 
     world = World(WorldConfig(
         seed=seed, quiet=True, n_compute_nodes=4, fast_lane=fast_lane,
-        columnar=columnar, **world_kw,
-    ))
+        **world_kw))
     if setup is not None:
         setup(world)
     app = MpiIoTest(
@@ -70,8 +69,7 @@ def mpiio_campaign(seed: int, fast_lane: bool = True, columnar: bool = False,
         block_size=2**20, collective=False, sync_per_iteration=False,
     )
     if connector is None:
-        connector = ConnectorConfig(spill=True, fast_lane=fast_lane,
-                                    columnar=columnar)
+        connector = ConnectorConfig(spill=True, fast_lane=fast_lane)
     result = run_job(world, app, "nfs", connector_config=connector,
                      inter_job_gap_s=gap_s)
     return world, result
@@ -121,11 +119,11 @@ def chaos(seed: int = 42, lane: str | None = None, *, seeds: int = 1,
 
     if seeds < 1:
         raise UsageError("repro chaos: --seeds must be >= 1")
-    fast, columnar = lane_flags(lane)
+    fast = lane_flags(lane)
     payloads, text, broken = [], [], []
     for s in range(seed, seed + seeds):
         world, result = mpiio_campaign(
-            s, fast, columnar, ranks_per_node=ranks_per_node, telemetry=True,
+            s, fast, ranks_per_node=ranks_per_node, telemetry=True,
             faults=chaos_plan(fail_after, partition=True), retry=RetryPolicy(),
             standby_l1=True,
         )
@@ -138,7 +136,6 @@ def chaos(seed: int = 42, lane: str | None = None, *, seeds: int = 1,
         payloads.append({
             "seed": s,
             "fast_lane": fast,
-            "columnar": columnar,
             "applied_faults": _faults_json(applied, epoch),
             "duplicates_skipped": duplicates,
             "health": result.health.to_dict(),
@@ -178,7 +175,7 @@ def store(seed: int = 42, lane: str | None = None, *, mode: str = "drill",
 
     if mode == "topology" and not repair:
         raise UsageError("repro store: --no-repair applies to --drill only")
-    fast, columnar = lane_flags(lane)
+    fast = lane_flags(lane)
     plan = None
     if mode == "drill":
         # One replica per shard goes down mid-burst; the first loses a
@@ -190,7 +187,7 @@ def store(seed: int = 42, lane: str | None = None, *, mode: str = "drill",
             StoreCrash(3, at=0.25, down_for=0.25),
         ))
     world, result = mpiio_campaign(
-        seed, fast, columnar, ranks_per_node=ranks_per_node, telemetry=True,
+        seed, fast, ranks_per_node=ranks_per_node, telemetry=True,
         faults=plan, retry=RetryPolicy(), standby_l1=True,
         dsos_shards=2, dsos_replication=2, dsos_write_quorum=2,
         dsos_repair=repair,
@@ -208,7 +205,6 @@ def store(seed: int = 42, lane: str | None = None, *, mode: str = "drill",
         "seed": seed,
         "mode": mode,
         "fast_lane": fast,
-        "columnar": columnar,
         "repair": repair,
         "applied_faults": _faults_json(applied, epoch),
         "layout": cluster.shard_layout(),
@@ -278,7 +274,7 @@ def diagnose(seed: int = 42, lane: str | None = None, *,
 
     def campaign(faults):
         return mpiio_campaign(
-            seed, *lane_flags(lane), ranks_per_node=ranks_per_node,
+            seed, lane_flags(lane), ranks_per_node=ranks_per_node,
             telemetry=True, faults=faults, retry=RetryPolicy(),
             standby_l1=True, diagnosis=CHAOS_DIAGNOSIS)
 
@@ -292,7 +288,7 @@ def diagnose(seed: int = 42, lane: str | None = None, *,
 
     payload = {
         "seed": seed,
-        "fast_lane": lane_flags(lane)[0],
+        "fast_lane": lane_flags(lane),
         "applied_faults": _faults_json(applied, epoch),
         "incidents": [a.to_dict(epoch) for a in incidents],
         "score": score.to_dict(epoch),
@@ -339,8 +335,8 @@ def explain(seed: int = 42, lane: str | None = None, *,
             raise UsageError("repro explain: --check explains the campaign's "
                              "own job; drop --job")
         return check_explain(seed, lane)
-    fast, columnar = lane_flags(lane)
-    campaign = explain_campaign(seed, fast=fast, columnar=columnar)
+    fast = lane_flags(lane)
+    campaign = explain_campaign(seed, fast=fast)
     epoch = campaign.epoch
     report = campaign.report
     if job is not None and job != report.job_id:
@@ -349,12 +345,11 @@ def explain(seed: int = 42, lane: str | None = None, *,
                              f"(this campaign's job: {report.job_id})")
         report = explain_job(campaign.world, job)
     score = score_verdicts(report.verdicts, campaign.applied)
-    clean = explain_campaign(seed, fast=fast, columnar=columnar, faults=None)
+    clean = explain_campaign(seed, fast=fast, faults=None)
 
     payload = {
         "seed": seed,
         "fast_lane": fast,
-        "columnar": columnar,
         "applied_faults": _faults_json(campaign.applied, epoch),
         "report": report.to_dict(epoch),
         "score": score.to_dict(),
@@ -384,7 +379,7 @@ def profile(seed: int = 42, lane: str | None = None, *,
     from repro.sim import PipelineProfile
 
     world, _ = mpiio_campaign(
-        seed, *lane_flags(lane), iterations=4, ranks_per_node=ranks_per_node,
+        seed, lane_flags(lane), iterations=4, ranks_per_node=ranks_per_node,
         connector=ConnectorConfig(), gap_s=120.0, telemetry=True)
     prof = PipelineProfile.from_collector(world.telemetry)
     ok, lines = verdict(
@@ -418,7 +413,7 @@ def trace(seed: int = 42, lane: str | None = None, *,
     policy = TelemetryConfig(head_sample_rate=head_rate,
                              tail_latency_s=tail_latency)
     world, _ = mpiio_campaign(
-        seed, *lane_flags(lane), ranks_per_node=ranks_per_node,
+        seed, lane_flags(lane), ranks_per_node=ranks_per_node,
         telemetry=policy, faults=chaos_plan(fail_after, partition=True),
         retry=RetryPolicy(), standby_l1=True)
     registry = world.trace_registry()
@@ -440,7 +435,7 @@ def trace(seed: int = 42, lane: str | None = None, *,
     reg = registry.to_dict()
     payload = {
         "seed": seed,
-        "fast_lane": lane_flags(lane)[0],
+        "fast_lane": lane_flags(lane),
         "registry": reg,
         "rollup": rollup.to_dict(),
         "rollup_reconciles_with_profile": rollup.reconciles_with(prof),
@@ -513,7 +508,7 @@ def fleet(lane: str | None = None, *, mode: str = "scan") -> Check:
 
     from repro.fleet import scan_fleet
 
-    report = scan_fleet(fast_lane=lane_flags(lane)[0])
+    report = scan_fleet(fast_lane=lane_flags(lane))
 
     if mode == "export":
         from repro.telemetry import render_openmetrics
@@ -578,9 +573,8 @@ def forensics(seed: int = 42, lane: str | None = None, *,
             raise UsageError(f"repro forensics: --check verifies --capture, "
                              f"not --{mode}")
         return check_forensics(seed, lane, fail_after=fail_after)
-    fast, columnar = lane_flags(lane)
-    cap = capture_campaign(seed, fast=fast, columnar=columnar,
-                           fail_after=fail_after)
+    fast = lane_flags(lane)
+    cap = capture_campaign(seed, fast=fast, fail_after=fail_after)
 
     if mode == "show":
         bundle = cap.find(show)
@@ -602,7 +596,7 @@ def forensics(seed: int = 42, lane: str | None = None, *,
         return Check("forensics", True, [], bundle.to_dict(), text)
 
     if mode == "diff":
-        clean = capture_campaign(seed, fast=fast, columnar=columnar,
+        clean = capture_campaign(seed, fast=fast,
                                  faults=None, snapshot_id="clean-0")
         found = [cap.find(i) if cap.find(i) is not None else clean.find(i)
                  for i in diff]
@@ -626,7 +620,6 @@ def forensics(seed: int = 42, lane: str | None = None, *,
     payload = {
         "seed": seed,
         "fast_lane": fast,
-        "columnar": columnar,
         "applied_faults": _faults_json(cap.applied, epoch),
         "bundles": [b.to_dict() for b in cap.bundles],
         "recorder": recorder.stats(),
@@ -671,7 +664,7 @@ def forensics(seed: int = 42, lane: str | None = None, *,
 
 def bench(seed: int = 42, *, quick: bool = False, out: str | None = None,
           check: bool = False) -> Check:
-    """Tracked pipeline benchmark: slow vs fast vs columnar, one process.
+    """Tracked pipeline benchmark: slow vs fast lane, one process.
 
     ``check`` compares the measured lane speedups against the committed
     result at ``out`` (default ``benchmarks/BENCH_pipeline.json``): the
@@ -702,7 +695,7 @@ def bench(seed: int = 42, *, quick: bool = False, out: str | None = None,
                        f"events/s={r['events_per_sec']:>8.1f} "
                        f"engine_events={r['engine_events']} "
                        f"peak_rss_kib={r['peak_rss_kib']}")
-        spine = result["columnar"].get("spine")
+        spine = result["fast"].get("spine")
         if spine:
             out.append(f"  spine: {spine['record_batches']} record batches, "
                        f"mean {spine['mean_batch_rows']:.1f} rows "
@@ -711,14 +704,11 @@ def bench(seed: int = 42, *, quick: bool = False, out: str | None = None,
                        f"{spine['dearms']} de-arms")
         out.append(f"  speedup (events/s, fast vs slow): "
                    f"{result['speedup_events_per_sec']:.2f}x")
-        out.append(f"  speedup (events/s, columnar vs fast): "
-                   f"{result['speedup_columnar_vs_fast']:.2f}x "
-                   f"(vs slow: {result['speedup_columnar_vs_slow']:.2f}x)")
         if result["speedup_vs_fast_baseline"]:
-            out.append(f"  columnar vs recorded fast-lane baseline: "
+            out.append(f"  fast vs recorded pre-spine fast-lane baseline: "
                        f"{result['speedup_vs_fast_baseline']:.2f}x")
         if result["speedup_vs_seed_baseline"]:
-            out.append(f"  columnar vs pre-optimization baseline: "
+            out.append(f"  fast vs pre-optimization baseline: "
                        f"{result['speedup_vs_seed_baseline']:.2f}x")
         return "\n".join(out)
 
@@ -731,12 +721,11 @@ def bench(seed: int = 42, *, quick: bool = False, out: str | None = None,
         committed = committed.get("quick", {})
     checks = [(not committed, f"no committed {'quick ' if quick else ''}"
                f"result in {path}")]
-    checks += [
-        (result[key] < committed[key] * 0.75, f"{key} {result[key]:.2f}x "
-         f"regressed below 75% of committed {committed[key]:.2f}x")
-        for key in ("speedup_events_per_sec", "speedup_columnar_vs_slow")
-        if key in committed
-    ]
+    key = "speedup_events_per_sec"
+    if key in committed:
+        checks.append((result[key] < committed[key] * 0.75,
+                       f"{key} {result[key]:.2f}x regressed below 75% of "
+                       f"committed {committed[key]:.2f}x"))
     # Peak RSS only where both runs could reset the per-lane watermark.
     checks += [
         (result[lane]["peak_rss_kib"] > committed[lane]["peak_rss_kib"] * 1.25,

@@ -83,15 +83,17 @@ class WorldConfig:
     #: overflow drops; the default matches production ldmsd).
     forward_queue_depth: int = 65536
     #: Host-side fast lane through the monitoring pipeline (batched
-    #: forward delivery + batched DSOS ingest).  Simulated results are
+    #: forward delivery + batched DSOS ingest) plus the express spine,
+    #: which virtualizes publish→forward→ingest whenever the world is
+    #: provably inert (no faults/retry/standby/diagnosis/probe/
+    #: recorder/CSV/samplers), so engine events scale with application
+    #: I/O instead of monitoring messages.  Simulated results are
     #: identical either way; False keeps the per-message reference path.
     fast_lane: bool = True
-    #: Columnar record-batch lane (requires ``fast_lane``): connector
-    #: bursts move as RecordBatches and, when the world is provably
-    #: inert (no faults/retry/standby/diagnosis/probe/CSV/samplers),
-    #: an express spine virtualizes publish→forward→ingest so engine
-    #: events scale with application I/O instead of monitoring
-    #: messages.  Simulated results are bit-identical either way.
+    #: Selects nothing (the fast lane always builds the spine, and
+    #: ``try_arm`` alone decides whether it arms); kept only because
+    #: ``perfbench/workloads.py`` still passes it.  ``True`` still
+    #: requires ``fast_lane``.
     columnar: bool = False
     #: A :class:`~repro.faults.FaultPlan` to arm against this world
     #: (None = no injector at all; an *empty* plan arms to nothing and
@@ -250,7 +252,7 @@ class World:
 
         # Black-box flight recorder: armed after the fault injector (so
         # the applied-fault feed exists to observe) and before the
-        # columnar spine, whose arming guard must see the recorder's
+        # express spine, whose arming guard must see the recorder's
         # store ingest observer and refuse to virtualize.
         self.flight_recorder = None
         if config.flightrec:
@@ -267,19 +269,19 @@ class World:
             self.flight_recorder = FlightRecorder(self, fr_config)
             self.flight_recorder.arm()
 
-        # Columnar express spine: built last of all so its arming guard
-        # sees the finished world.  try_arm refuses whenever anything
-        # could observe the virtualization (and any later guard-breaking
-        # mutation de-arms it mid-run), so `spine.armed` is False on
-        # every chaos/retry/diagnosis configuration — those worlds run
-        # the columnar per-message fallback, bit-identical to fast lane.
+        # Express spine (fast lane): built last of all so its arming
+        # guard sees the finished world.  try_arm refuses whenever
+        # anything could observe the virtualization (and any later
+        # guard-breaking mutation de-arms it mid-run), so `spine.armed`
+        # is False on every chaos/retry/diagnosis configuration — those
+        # worlds run the per-message path, bit-identical either way.
+        if config.columnar and not config.fast_lane:
+            raise ValueError(
+                "columnar is a refinement of the fast lane "
+                "(WorldConfig(columnar=True) requires fast_lane=True)"
+            )
         self.spine = None
-        if config.columnar:
-            if not config.fast_lane:
-                raise ValueError(
-                    "columnar is a refinement of the fast lane "
-                    "(WorldConfig(columnar=True) requires fast_lane=True)"
-                )
+        if config.fast_lane:
             from repro.core.batch import ColumnarSpine
 
             self.spine = ColumnarSpine(self)

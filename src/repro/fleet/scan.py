@@ -1,7 +1,7 @@
 """Fleet scans: run the proactive probe campaign on every cluster.
 
 A :class:`FleetClusterSpec` is a reproducible recipe for one cluster's
-scan world (seed, size, fault plan, resilience options).
+scan world (seed, size, fault plan).
 :func:`scan_cluster` builds that world with telemetry + diagnosis + the
 probe scanner armed, drives a short deterministic I/O campaign through
 it (the probe traffic itself is weak-event / read-only, so the campaign
@@ -42,17 +42,6 @@ class FleetClusterSpec:
     n_compute_nodes: int = 4
     #: A :class:`~repro.faults.FaultPlan` for chaos-lane scans.
     faults: object | None = None
-    #: Resilience options mirrored from :class:`WorldConfig`.
-    retry: object | None = None
-    standby_l1: bool = False
-    #: Connector-side spill buffering for the scan campaign.
-    spill: bool = False
-    #: DSOS store topology (1/1 = the legacy flat store; anything else
-    #: scans a replicated sharded cluster with quorum ingest).
-    dsos_shards: int = 1
-    dsos_replication: int = 1
-    dsos_write_quorum: int | None = None
-    dsos_repair: bool = True
 
     def world_config(self, *, fast_lane: bool = True):
         """The :class:`~repro.experiments.world.WorldConfig` this spec
@@ -67,12 +56,6 @@ class FleetClusterSpec:
             telemetry=True,
             fast_lane=fast_lane,
             faults=self.faults,
-            retry=self.retry,
-            standby_l1=self.standby_l1,
-            dsos_shards=self.dsos_shards,
-            dsos_replication=self.dsos_replication,
-            dsos_write_quorum=self.dsos_write_quorum,
-            dsos_repair=self.dsos_repair,
             diagnosis=CHAOS_DIAGNOSIS,
             probe=ProbeConfig(period_s=_SCAN_EVAL_PERIOD_S),
             flightrec=True,
@@ -92,10 +75,6 @@ class ClusterReadiness:
     #: End-of-scan values of every diagnosis sampled series (name →
     #: last sampled value) — what the OpenMetrics exporter exposes.
     gauges: dict
-    #: ``DsosCluster.stats_snapshot()`` at scan end — per-(shard,
-    #: daemon) store counters (empty dict on a legacy flat store so
-    #: non-replicated payloads stay unchanged).
-    store: dict = field(default_factory=dict)
     #: ``FlightRecorder.stats()`` at scan end — per-stream ring
     #: ledgers and bundle counters (empty dict when the recorder is
     #: not armed so legacy payloads stay unchanged).
@@ -122,8 +101,6 @@ class ClusterReadiness:
             "gauges": dict(sorted(self.gauges.items())),
             "health": self.health.to_dict(),
         }
-        if self.store:
-            out["store"] = self.store
         if self.recorder:
             out["recorder"] = self.recorder
         if self.explain:
@@ -205,8 +182,7 @@ def scan_cluster(spec: FleetClusterSpec, *,
     # windows (sub-second offsets) land inside the I/O burst.
     result = run_job(
         world, app, "nfs",
-        connector_config=ConnectorConfig(spill=spec.spill,
-                                         fast_lane=fast_lane),
+        connector_config=ConnectorConfig(fast_lane=fast_lane),
         inter_job_gap_s=0.0,
     )
 
@@ -237,7 +213,6 @@ def scan_cluster(spec: FleetClusterSpec, *,
         "gauges": explain_gauges(explain_report),
     }
 
-    dsos_cluster = world.dsos.cluster
     score = build_scorecard(
         spec.name,
         probe_report=probe_report,
@@ -245,7 +220,6 @@ def scan_cluster(spec: FleetClusterSpec, *,
         health=health,
         snapshots=world.fabric.health_snapshots(),
         slow_pending=world.store.slow_pending,
-        store_census=dsos_cluster.census() if dsos_cluster.sharded else None,
     )
     return ClusterReadiness(
         spec=spec,
@@ -255,7 +229,6 @@ def scan_cluster(spec: FleetClusterSpec, *,
         health=health,
         runtime_s=result.runtime_s,
         gauges=gauges,
-        store=dsos_cluster.stats_snapshot() if dsos_cluster.sharded else {},
         recorder=(world.flight_recorder.stats()
                   if world.flight_recorder else {}),
         explain=explain,

@@ -83,7 +83,7 @@ class Environment:
     def advance_if_idle(self, when: float) -> bool:
         """Fast-forward the clock to ``when`` if nothing would notice.
 
-        The columnar lane's macro-event rule: a process that knows the
+        The express spine's macro-event rule: a process that knows the
         absolute completion time of a whole burst may move the clock
         there directly — *only* when no queued event (weak or strong)
         is due at or before ``when`` and ``when`` does not overrun a

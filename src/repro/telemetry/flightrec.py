@@ -379,7 +379,7 @@ class FlightRecorder:
         """Install every observer hook and the weak recorder tick.
 
         Must run after the fault injector is built (its applied-log
-        observer) and before the columnar spine (whose arming guard
+        observer) and before the express spine (whose arming guard
         must see the recorder's store ingest observer).
         """
         if self._armed:

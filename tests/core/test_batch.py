@@ -31,7 +31,7 @@ def _event(op="write", offset=0, nbytes=512):
 
 
 def _columnar(event, *, lazy=False):
-    builder = MessageBuilder(fast=True)
+    builder = MessageBuilder()
     formatted = builder.format_columnar(event, lazy=lazy)
     assert type(formatted) is ColumnarFormatted
     return formatted
@@ -59,7 +59,7 @@ def test_record_batch_columns():
 def test_columnar_message_matches_reference_payload():
     event = _event()
     f = _columnar(event)
-    reference = MessageBuilder(fast=False).format(event)
+    reference = MessageBuilder().format(event)
     msg = ColumnarMessage(
         "darshanConnector", f.shape, f.values, f.vstrs, f.payload_chars,
         src_node="nid00001", publish_time=1.0, trace_id="77:3:0",
@@ -82,7 +82,7 @@ def test_columnar_message_lazy_rerenders_from_values():
     msg = ColumnarMessage(
         "darshanConnector", f.shape, f.values, None, f.payload_chars,
     )
-    reference = MessageBuilder(fast=False).format(event)
+    reference = MessageBuilder().format(event)
     assert msg.payload == reference.payload
     assert msg.parsed == json.loads(reference.payload)
 
@@ -101,9 +101,7 @@ def test_render_meta_matches_render_parts():
 
 
 def _armed_world():
-    world = World(WorldConfig(
-        seed=7, quiet=True, n_compute_nodes=2, fast_lane=True, columnar=True,
-    ))
+    world = World(WorldConfig(seed=7, quiet=True, n_compute_nodes=2))
     assert world.spine is not None and world.spine.armed
     return world
 
@@ -155,3 +153,41 @@ def test_columnar_requires_fast_lane():
             seed=1, quiet=True, n_compute_nodes=2,
             fast_lane=False, columnar=True,
         ))
+
+
+# ------------------------------------------------------- arming by guard
+
+
+def test_default_inert_world_arms_its_spine():
+    """The fast lane needs no switch: a default world is inert, so its
+    spine arms and carries every message of an HMMER job."""
+    from repro.apps import Hmmer
+    from repro.experiments import run_job
+
+    world = World(WorldConfig())
+    assert world.spine is not None and world.spine.armed
+    result = run_job(world, Hmmer(ranks_per_node=2, n_families=4), "nfs",
+                     connector_config=ConnectorConfig())
+    assert world.spine.armed and world.spine.stats.dearms == 0
+    published = result.connector.stats.messages_published
+    assert published > 0
+    assert world.spine.stats.rows == published
+    assert world.store.objects_stored == published
+
+
+def test_observed_world_builds_a_spine_that_refused_to_arm():
+    """Telemetry + diagnosis + flight recorder on a 2x2 replicated
+    store (the observed HMMER benchmark world): the guard refuses."""
+    from repro.diagnosis import DiagnosisConfig
+
+    world = World(WorldConfig(
+        seed=1, quiet=True, n_compute_nodes=2, telemetry=True,
+        diagnosis=DiagnosisConfig(), flightrec=True,
+        dsos_shards=2, dsos_replication=2,
+    ))
+    assert world.spine is not None and not world.spine.armed
+    assert world.spine.stats.dearms == 0  # never armed, never de-armed
+
+
+def test_slow_lane_builds_no_spine():
+    assert World(WorldConfig(quiet=True, fast_lane=False)).spine is None

@@ -11,6 +11,7 @@ from repro.core import (
     MessageBuilder,
     SEG_FIELDS,
 )
+from repro.core.json_format import ColumnarFormatted, FormattedMessage
 from repro.darshan.runtime import IOEvent
 from repro.fs.posix import IOContext
 
@@ -170,42 +171,75 @@ _GOLDEN_SHAPES = {
 }
 
 
+def _fast(builder, event) -> ColumnarFormatted:
+    """The fast lane's rendering of ``event``, from a warm shape cache
+    (the second call uses the memoized template, not the compile)."""
+    builder.format_columnar(event)
+    fm = builder.format_columnar(event)
+    assert type(fm) is ColumnarFormatted
+    return fm
+
+
 @pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
 def test_fast_lane_payload_matches_slow_walk(shape):
     event = _event(**_GOLDEN_SHAPES[shape])
-    fast = MessageBuilder(fast=True).format(event)
-    slow = MessageBuilder(fast=False).format(event)
-    assert fast.payload == slow.payload  # byte-identical serialization
+    builder = MessageBuilder()
+    fast = _fast(builder, event)
+    slow = builder.format(event)
+    # byte-identical serialization
+    assert fast.shape.payload(fast.vstrs) == slow.payload
     assert fast.format_cost_s == slow.format_cost_s
 
 
 @pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
 def test_fast_lane_numeric_count_matches_fresh_walk(shape):
     event = _event(**_GOLDEN_SHAPES[shape])
-    builder = MessageBuilder(fast=True)
-    # Warm the shape cache, then format again so the memoized count is
-    # what gets compared — not the first-call compile.
-    builder.format(event)
-    fm = builder.format(event)
-    fresh = MessageBuilder.count_numeric_fields(
-        MessageBuilder(fast=False).message_dict(event)
-    )
+    builder = MessageBuilder()
+    fm = _fast(builder, event)
+    fresh = MessageBuilder.count_numeric_fields(builder.message_dict(event))
     assert fm.numeric_conversions == fresh
 
 
 @pytest.mark.parametrize("shape", sorted(_GOLDEN_SHAPES))
 def test_fast_lane_parsed_sidecar_equals_json_loads(shape):
     event = _event(**_GOLDEN_SHAPES[shape])
-    builder = MessageBuilder(fast=True)
-    builder.format(event)  # warm the cache; second call uses templates
-    fm = builder.format(event)
-    assert fm.parsed == json.loads(fm.payload)
+    fm = _fast(MessageBuilder(), event)
+    parsed = fm.shape.parsed(fm.values)
+    payload = json.loads(fm.shape.payload(fm.vstrs))
+    assert parsed == payload
     # Key order matters downstream (Figure-3 order is part of the
     # payload contract) — the sidecar must preserve it too.
-    assert list(fm.parsed) == list(json.loads(fm.payload))
-    assert list(fm.parsed["seg"][0]) == list(json.loads(fm.payload)["seg"][0])
+    assert list(parsed) == list(payload)
+    assert list(parsed["seg"][0]) == list(payload["seg"][0])
 
 
 def test_slow_lane_has_no_parsed_sidecar():
-    fm = MessageBuilder(fast=False).format(_event())
+    fm = MessageBuilder().format(_event())
     assert fm.parsed is None
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_debug_builder_cross_checks_every_fast_message(lazy, monkeypatch):
+    """``MessageBuilder(debug=True)`` (``REPRO_FORMAT_DEBUG=1``) renders
+    column-wise and asserts each message against the reference walk."""
+    event = _event()
+    builder = MessageBuilder(debug=True)
+    _fast(builder, event)  # correct renderings pass the cross-check
+    checked = []
+    real = builder._format_slow
+
+    def corrupted(ev):
+        checked.append(ev)
+        ref = real(ev)
+        return FormattedMessage(ref.payload + " ", ref.numeric_conversions,
+                                ref.format_cost_s)
+
+    monkeypatch.setattr(builder, "_format_slow", corrupted)
+    with pytest.raises(AssertionError):
+        builder.format_columnar(event, lazy=lazy)
+    assert checked == [event]
+    # Without debug, the reference walk never runs on the fast lane.
+    quiet = MessageBuilder(debug=False)
+    monkeypatch.setattr(quiet, "_format_slow", corrupted)
+    _fast(quiet, event)
+    assert checked == [event]

@@ -1,18 +1,21 @@
 """The fast lane's load-bearing guarantee: speed without divergence.
 
-Every host-side optimization in the pipeline (template-compiled
+Every host-side optimization in the pipeline (column-wise template
 serialization with the parsed sidecar, coalesced publish, callback
 forwarding with fused transfers, batched DSOS ingest) claims to be
 invisible to the simulation.  These tests hold that line two ways:
 
-* property tests over random events — the fast serializer's payload is
-  byte-identical to the reference walk, its memoized numeric count
-  matches a fresh count, and its parsed sidecar equals
+* property tests over random events — the fast serializer's joined
+  payload is byte-identical to the reference walk, its memoized numeric
+  count matches a fresh count, and its parsed sidecar equals
   ``json.loads(payload)``;
 * a deterministic end-to-end campaign run twice from the same seed,
   fast lane on and off — every payload crossing the final aggregator is
   byte-identical in the identical order, the connector's stats are
-  equal, and the DSOS query results are equal row for row.
+  equal, and the DSOS query results are equal row for row.  The final
+  aggregator's subscriber de-arms the express spine, so this pins the
+  fast lane's per-message path; ``test_columnar_properties`` pins the
+  armed spine.
 """
 
 import dataclasses
@@ -22,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import Hmmer
 from repro.core import ConnectorConfig, MessageBuilder
+from repro.core.json_format import ColumnarFormatted
 from repro.darshan.runtime import IOEvent
 from repro.experiments import World, WorldConfig, run_job
 from repro.experiments.world import STREAM_TAG
@@ -80,16 +84,19 @@ def _events(draw):
 @given(events=st.lists(_events(), min_size=1, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_fast_serializer_is_byte_identical(events):
-    fast = MessageBuilder(fast=True)
-    slow = MessageBuilder(fast=False)
+    builder = MessageBuilder()
     for event in events:
-        fm_fast = fast.format(event)
-        fm_slow = slow.format(event)
-        assert fm_fast.payload == fm_slow.payload
+        fm_fast = builder.format_columnar(event)
+        fm_slow = builder.format(event)
+        if type(fm_fast) is ColumnarFormatted:
+            payload = fm_fast.shape.payload(fm_fast.vstrs)
+            assert fm_fast.payload_chars == len(payload)
+            assert fm_fast.shape.parsed(fm_fast.values) == json.loads(payload)
+        else:  # shape self-check fell back to the reference walk
+            payload = fm_fast.payload
+        assert payload == fm_slow.payload
         assert fm_fast.numeric_conversions == fm_slow.numeric_conversions
         assert fm_fast.format_cost_s == fm_slow.format_cost_s
-        if fm_fast.parsed is not None:
-            assert fm_fast.parsed == json.loads(fm_fast.payload)
 
 
 # ------------------------------------------------- end-to-end determinism
@@ -97,7 +104,7 @@ def test_fast_serializer_is_byte_identical(events):
 
 def _campaign(fast: bool):
     """One small HMMER campaign; returns (payload stream at L2, stats,
-    stored rows)."""
+    stored rows, world)."""
     world = World(WorldConfig(
         seed=1337, quiet=True, n_compute_nodes=2, fast_lane=fast,
     ))
@@ -110,12 +117,16 @@ def _campaign(fast: bool):
         world, app, "nfs", connector_config=ConnectorConfig(fast_lane=fast)
     )
     rows = [dict(obj) for obj in world.query_job(result.job_id)]
-    return seen, dataclasses.asdict(result.connector.stats), rows
+    return seen, dataclasses.asdict(result.connector.stats), rows, world
 
 
 def test_fast_lane_campaign_is_bit_identical():
-    seen_slow, stats_slow, rows_slow = _campaign(fast=False)
-    seen_fast, stats_fast, rows_fast = _campaign(fast=True)
+    seen_slow, stats_slow, rows_slow, world_slow = _campaign(fast=False)
+    seen_fast, stats_fast, rows_fast, world = _campaign(fast=True)
+    # The subscriber de-armed the spine before the run: every event took
+    # the per-message path (lazy ColumnarMessage) end to end.
+    assert world.spine.stats.dearms == 1
+    assert world.spine.stats.rows == 0
 
     assert stats_fast == stats_slow          # every counter and second
     assert len(seen_fast) == len(seen_slow)  # nothing dropped or dup'd
@@ -125,3 +136,4 @@ def test_fast_lane_campaign_is_bit_identical():
     assert seen_fast == seen_slow
     assert rows_fast == rows_slow            # the database agrees
     assert len(rows_fast) > 0                # and it is non-trivial
+    assert world.env.now == world_slow.env.now

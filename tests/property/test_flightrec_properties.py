@@ -3,8 +3,8 @@
 The ISSUE's house pin: a seeded campaign with the recorder armed is
 *byte-identical* to the same campaign without it — the payload stream
 through L2, the DSOS contents, the application timings, the connector
-counters and the telemetry report all agree exactly, on all three
-lanes (slow reference, fast lane, columnar).  The recorder's tick is a
+counters and the telemetry report all agree exactly, on both lanes
+(slow reference, fast lane).  The recorder's tick is a
 weak simulation event and every hook appends into host-side state
 only; this suite is what pins that contract, including under an
 active chaos plan (observer callbacks firing on every layer).
@@ -21,7 +21,7 @@ from repro.experiments import World, WorldConfig, run_job
 from repro.experiments.world import STREAM_TAG
 
 
-def _campaign(*, fast: bool, columnar: bool, flightrec, faults=None):
+def _campaign(*, fast: bool, flightrec, faults=None):
     extra = {}
     if faults is not None:
         from repro.ldms.resilience import RetryPolicy
@@ -29,7 +29,7 @@ def _campaign(*, fast: bool, columnar: bool, flightrec, faults=None):
         extra = {"faults": faults, "retry": RetryPolicy(), "standby_l1": True}
     world = World(WorldConfig(
         seed=20260809, quiet=True, n_compute_nodes=4, telemetry=True,
-        fast_lane=fast, columnar=columnar,
+        fast_lane=fast,
         diagnosis=DiagnosisConfig(eval_period_s=0.05, window_s=0.25,
                                   for_duration_s=0.1),
         flightrec=flightrec,
@@ -74,14 +74,11 @@ def _assert_identical(armed, plain):
     assert armed["report"] == plain["report"]        # telemetry report
 
 
-@pytest.mark.parametrize(
-    "fast,columnar",
-    [(False, False), (True, False), (True, True)],
-    ids=["reference", "fast-lane", "columnar"],
-)
-def test_armed_recorder_is_byte_identical_to_none(fast, columnar):
-    plain = _campaign(fast=fast, columnar=columnar, flightrec=False)
-    armed = _campaign(fast=fast, columnar=columnar, flightrec=True)
+@pytest.mark.parametrize("fast", [False, True],
+                         ids=["reference", "fast-lane"])
+def test_armed_recorder_is_byte_identical_to_none(fast):
+    plain = _campaign(fast=fast, flightrec=False)
+    armed = _campaign(fast=fast, flightrec=True)
     _assert_identical(armed, plain)
 
 
@@ -89,10 +86,8 @@ def test_armed_recorder_is_byte_identical_under_chaos():
     """Purity with every hook firing: alerts, recovery hops, faults."""
     from repro.diagnosis.forensics import chaos_plan
 
-    plain = _campaign(fast=True, columnar=False, flightrec=False,
-                      faults=chaos_plan())
-    armed = _campaign(fast=True, columnar=False, flightrec=True,
-                      faults=chaos_plan())
+    plain = _campaign(fast=True, flightrec=False, faults=chaos_plan())
+    armed = _campaign(fast=True, flightrec=True, faults=chaos_plan())
     recorder = armed["world"].flight_recorder
     recorder.flush()
     assert recorder.bundles  # the hooks genuinely captured an incident
@@ -105,8 +100,7 @@ def test_columnar_spine_refuses_to_arm_under_recorder():
     the recorder alone breaks the inert-world guard, and the
     bit-identical per-message fallback carries the run (the purity
     pin above proves the fallback byte-identical)."""
-    base = dict(seed=1, quiet=True, n_compute_nodes=4,
-                fast_lane=True, columnar=True)
+    base = dict(seed=1, quiet=True, n_compute_nodes=4)
     control = World(WorldConfig(**base))
     assert control.spine is not None and control.spine.armed
     guarded = World(WorldConfig(**base, flightrec=True))

@@ -242,7 +242,7 @@ def test_repro_cli_explain_json(capsys):
 def test_repro_cli_explain_check(capsys):
     assert repro_main(["explain", "--check"]) == 0
     out = capsys.readouterr().out
-    assert "OK[slow]" in out and "OK[columnar]" in out
+    assert "OK[slow]" in out and "OK[fast]" in out
     assert "OK: every fault class classified" in out
 
 
@@ -263,13 +263,6 @@ def test_repro_cli_explain_unknown_job_is_usage_error(capsys):
         repro_main(["explain", "--job", "999999"])
     assert exc.value.code == 2
     assert "no stored events for job 999999" in capsys.readouterr().err
-
-
-def test_repro_cli_explain_columnar_requires_fast_lane(capsys):
-    with pytest.raises(SystemExit) as exc:
-        repro_main(["explain", "--columnar", "--no-fast-lane"])
-    assert exc.value.code == 2
-    assert "--columnar requires the fast lane" in capsys.readouterr().err
 
 
 def test_repro_cli_profile(capsys):
@@ -420,6 +413,11 @@ def test_repro_cli_json_outputs_are_stable_sorted(argv, capsys):
         ["forensics", "--show", "fb-0", "--check"],
         ["explain", "--job", "1", "--check"],
         ["check", "frobnicate"],
+        # No subcommand has a --columnar flag.
+        ["chaos", "--columnar"],
+        ["store", "--columnar"],
+        ["explain", "--columnar"],
+        ["forensics", "--columnar"],
     ],
 )
 def test_repro_cli_rejects_flags_a_command_does_not_read(argv, capsys):
@@ -460,9 +458,8 @@ def test_repro_check_registry_matches_the_ci_gate_invocations():
         ("telemetry", None, 42, {}),
         ("chaos", "fast", 3, {"seeds": 3}),
         ("chaos", "slow", 3, {"seeds": 3}),
-        ("chaos", "columnar", 3, {"seeds": 3}),
         ("store", "slow", 42, {"mode": "drill"}),
-        ("store", "columnar", 42, {"mode": "drill"}),
+        ("store", "fast", 42, {"mode": "drill"}),
         ("diagnose", "fast", 42, {}),
         ("diagnose", "slow", 42, {}),
         ("profile", None, 42, {}),
@@ -473,9 +470,9 @@ def test_repro_check_registry_matches_the_ci_gate_invocations():
         ("fleet-catalog", None, None, {"mode": "catalog"}),
         ("fleet-export", None, None, {"mode": "export"}),
         ("forensics", "slow", 42, {}),
-        ("forensics", "columnar", 42, {}),
+        ("forensics", "fast", 42, {}),
         ("explain", "slow", 42, {}),
-        ("explain", "columnar", 42, {}),
+        ("explain", "fast", 42, {}),
     ]
 
 
@@ -719,7 +716,7 @@ def test_repro_cli_forensics_check_ok(capsys):
     assert repro_main(["forensics", "--capture", "--check"]) == 0
     out = capsys.readouterr().out
     assert "OK[slow]" in out
-    assert "OK[columnar]" in out
+    assert "OK[fast]" in out
     assert "OK: every fault class matched a bundle naming its signal" in out
 
 
