@@ -163,6 +163,16 @@ class ColumnarMessage:
             parsed = self._parsed = self._shape.parsed(self._values)
         return parsed
 
+    @property
+    def shape(self):
+        """The compiled message shape (``_Shape``) this row fills."""
+        return self._shape
+
+    @property
+    def values(self) -> tuple:
+        """The row's varying slot values, in the shape's slot order."""
+        return self._values
+
 
 @dataclass
 class SpineStats:

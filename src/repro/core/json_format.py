@@ -36,12 +36,12 @@ self-check fall back to the slow path.
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.core.metrics import MESSAGE_FIELDS, SEG_FIELDS
 from repro.darshan.runtime import IOEvent
+from repro.records import FORMAT_DEBUG
 
 __all__ = [
     "FormatCostModel",
@@ -49,9 +49,6 @@ __all__ = [
     "FormattedMessage",
     "ColumnarFormatted",
 ]
-
-#: Per-message template verification + wire-format asserts (slow).
-FORMAT_DEBUG = bool(os.environ.get("REPRO_FORMAT_DEBUG"))
 
 _INF = float("inf")
 _MISSING = object()

@@ -31,6 +31,7 @@ from repro.darshan.dxt import DxtTracer
 from repro.darshan.records import DarshanRecord, NameRecord
 from repro.fs.base import OpRecord
 from repro.fs.posix import IOContext
+from repro.records import frozen_record
 from repro.sim import Environment
 
 __all__ = ["DarshanConfig", "DarshanRuntime", "IOEvent"]
@@ -67,7 +68,7 @@ class DarshanConfig:
             raise ValueError(f"unknown Darshan modules: {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IOEvent:
     """One instrumented I/O event, as seen by run-time listeners.
 

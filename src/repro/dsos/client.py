@@ -26,8 +26,8 @@ class DsosClient:
         if schema.name not in self.cluster.schemas:
             self.cluster.attach_schema(schema)
 
-    def insert(self, schema_name: str, obj: dict) -> None:
-        self.cluster.insert(schema_name, obj)
+    def insert(self, schema_name: str, obj: dict) -> bool:
+        return self.cluster.insert(schema_name, obj)
 
     def insert_many(self, schema_name: str, objs) -> int:
         return self.cluster.insert_many(schema_name, objs)

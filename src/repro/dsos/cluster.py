@@ -34,10 +34,11 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.dsos.daemon import Dsosd, StoreDownError
+from repro.dsos.daemon import Dsosd, StoreDownError, write_unit
 from repro.dsos.journal import WalRecovery
 from repro.dsos.query import Query
 from repro.dsos.schema import Schema, SchemaError
+from repro.records import frozen_record
 from repro.signals import Signal
 
 __all__ = ["DsosCluster", "IngestAck", "STORE_METRICS", "StoreCensus"]
@@ -70,7 +71,7 @@ STORE_METRICS = (
 )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class IngestAck:
     """Outcome of one replicated write."""
 
@@ -208,15 +209,19 @@ class DsosCluster:
         key = obj[self._shard_attr[schema_name]]
         return zlib.crc32(str(key).encode("utf-8")) % self.shards
 
-    def insert(self, schema_name: str, obj: dict, *, validate: bool = True) -> None:
-        """Store one object on the next daemon (round-robin)."""
+    def insert(self, schema_name: str, obj: dict, *, validate: bool = True) -> bool:
+        """Store one object on the next daemon (round-robin); True when
+        it was accepted (a replicated write with no live replica in its
+        shard is rejected)."""
         if self.sharded:
-            self.insert_replicated(schema_name, obj, validate=validate)
-            return
+            return self.insert_replicated(
+                schema_name, obj, validate=validate
+            ).accepted
         self.schema(schema_name)  # existence check with good error
         daemon = self.daemons[self._rr]
         self._rr = (self._rr + 1) % len(self.daemons)
         daemon.insert(schema_name, obj, validate=validate)
+        return True
 
     def insert_many(self, schema_name: str, objs, *, validate: bool = True) -> int:
         """Store a batch, equivalent to sequential :meth:`insert` calls.
@@ -225,13 +230,15 @@ class DsosCluster:
         ``objs[(i - rr) % nd :: nd]`` (in order), which is exactly the
         objects sequential inserts would have handed it, and the cursor
         advances by ``len(objs)`` — so batched and per-object ingest
-        place every object identically.
+        place every object identically.  Returns the number of objects
+        accepted (replicated writes may be rejected).
         """
         objs = objs if isinstance(objs, list) else list(objs)
         if self.sharded:
-            for obj in objs:
-                self.insert_replicated(schema_name, obj, validate=validate)
-            return len(objs)
+            return sum(
+                self.insert_replicated(schema_name, obj, validate=validate).accepted
+                for obj in objs
+            )
         self.schema(schema_name)  # existence check with good error
         daemons = self.daemons
         nd = len(daemons)
@@ -261,6 +268,10 @@ class DsosCluster:
         fewer (but nonzero) acks it is stored-degraded (repair owes the
         missing copies); with zero live replicas it is rejected and no
         sequence number is consumed — the caller accounts the drop.
+
+        The object's write unit — WAL frame (canonical payload and CRC)
+        and index keys — is built once here; every live replica appends
+        the same bytes and the same keys.
         """
         if not self.sharded:
             raise SchemaError("insert_replicated requires a sharded cluster")
@@ -277,10 +288,9 @@ class DsosCluster:
         seq = self._next_seq[shard]
         self._next_seq[shard] = seq + 1
         self._seq_schema[shard].append(schema_name)
+        frame, keys = write_unit(schema, seq, obj, trace_id)
         for replica in live:
-            replica.insert_seq(
-                schema_name, seq, obj, trace_id=trace_id, validate=False
-            )
+            replica.apply(schema_name, seq, obj, trace_id, frame, keys)
         acks = len(live)
         self._copies[shard][seq] = acks
         self._copy_hist[shard][acks] += 1

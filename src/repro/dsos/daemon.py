@@ -21,13 +21,11 @@ log appends, byte-identical to the pre-replication store.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from repro.dsos.index import SortedIndex
-from repro.dsos.journal import StoreWal, WalRecovery
+from repro.dsos.journal import StoreWal, WalRecord, WalRecovery
 from repro.dsos.schema import Schema, SchemaError
 
-__all__ = ["Dsosd", "StoreDownError"]
+__all__ = ["Dsosd", "StoreDownError", "write_unit"]
 
 _OPS = {
     "==": lambda a, b: a == b,
@@ -43,6 +41,14 @@ class StoreDownError(RuntimeError):
     """An operation reached a crashed daemon (or a replica-less shard)."""
 
 
+def write_unit(schema: Schema, seq: int, obj: dict,
+               trace_id: str = "") -> tuple[bytes, tuple]:
+    """One object's replicated write, built once for every replica: its
+    WAL frame and its key under each of the schema's indices."""
+    frame = WalRecord.frame(seq, schema.name, schema.encode(obj), trace_id)
+    return frame, schema.index_keys(obj)
+
+
 class _Shard:
     """One schema's objects + indices on one daemon."""
 
@@ -53,38 +59,31 @@ class _Shard:
             name: SortedIndex(name, attrs)
             for name, attrs in schema.indices.items()
         }
+        #: Indices in ``schema.indices`` order, the order of
+        #: ``schema.index_keys``.
+        self._index_list = tuple(self.indices.values())
 
-    def add(self, obj: dict) -> int:
+    def add(self, obj: dict, keys: tuple | None = None) -> int:
+        """Append one object; ``keys`` (one per index, from
+        ``schema.index_keys``) when the caller already built them."""
         oid = len(self.objects)
         self.objects.append(obj)
-        for name, index in self.indices.items():
-            index.add(self.schema.key_for(name, obj), oid)
+        if keys is None:
+            keys = self.schema.index_keys(obj)
+        for index, key in zip(self._index_list, keys):
+            index.add(key, oid)
         return oid
 
     def add_many(self, objs: list) -> None:
-        """Append a batch: one index pass per index, not per object.
-
-        Keys are built straight from the schema's key attrs (same tuples
-        :meth:`~repro.dsos.schema.Schema.key_for` would produce — an
-        ``itemgetter`` over several attrs already yields the tuple), so
-        the per-key length check in ``SortedIndex.add`` is redundant
-        here.
-        """
+        """Append a batch: one index pass per index, not per object."""
         base = len(self.objects)
         self.objects.extend(objs)
+        getters = self.schema.key_getters
         for name, index in self.indices.items():
-            attrs = self.schema.indices[name]
-            if len(attrs) == 1:
-                a0 = attrs[0]
-                entries = [
-                    ((obj[a0],), base + i) for i, obj in enumerate(objs)
-                ]
-            else:
-                getter = itemgetter(*attrs)
-                entries = [
-                    (getter(obj), base + i) for i, obj in enumerate(objs)
-                ]
-            index.extend_unchecked(entries)
+            key = getters[name]
+            index.extend_unchecked(
+                [(key(obj), base + i) for i, obj in enumerate(objs)]
+            )
 
 
 class Dsosd:
@@ -159,23 +158,35 @@ class Dsosd:
         trace_id: str = "",
         validate: bool = True,
     ) -> None:
-        """Replicated apply: WAL first, then the in-memory shard.
-
-        The WAL append precedes visibility, so a crash between the two
-        can only lose an object the log already holds — replay puts it
-        back.
-        """
+        """Replicated apply of one object (the repair path): builds the
+        object's write unit, then :meth:`apply`."""
         if not self.alive:
             raise StoreDownError(f"daemon {self.name} is down")
         if self.wal is None:
             raise SchemaError(
                 f"daemon {self.name} is not in WAL mode; use insert()"
             )
-        shard = self._shard(schema_name)
+        schema = self._shard(schema_name).schema
         if validate:
-            shard.schema.validate(obj)
-        self.wal.append(seq, schema_name, obj, trace_id)
-        shard.add(obj)
+            schema.validate(obj)
+        frame, keys = write_unit(schema, seq, obj, trace_id)
+        self.apply(schema_name, seq, obj, trace_id, frame, keys)
+
+    def apply(self, schema_name: str, seq: int, obj: dict, trace_id: str,
+              frame: bytes | None, keys: tuple | None) -> None:
+        """Make one replicated object visible: WAL first, then the shard.
+
+        Every write lands here — a cluster write hands each live replica
+        the same prebuilt ``frame`` and ``keys`` (:func:`write_unit`),
+        repair builds them per pulled object, and WAL replay passes
+        ``frame=None`` (the record is already in the log) and
+        ``keys=None`` (built from the replayed object).  The WAL
+        append precedes visibility, so a crash between the two can only
+        lose an object the log already holds — replay puts it back.
+        """
+        if frame is not None:
+            self.wal.append(frame)
+        self._shard(schema_name).add(obj, keys)
         self.applied.add(seq)
         self._by_seq[seq] = (schema_name, obj, trace_id)
         self.objects_stored += 1
@@ -217,12 +228,8 @@ class Dsosd:
             raise SchemaError(f"daemon {self.name} has no WAL to recover from")
         recovery = self.wal.recover()
         for record in recovery.entries:
-            shard = self._shard(record.schema)
-            obj = record.obj
-            shard.add(obj)
-            self.applied.add(record.seq)
-            self._by_seq[record.seq] = (record.schema, obj, record.trace_id)
-            self.objects_stored += 1
+            self.apply(record.schema, record.seq, record.obj,
+                       record.trace_id, None, None)
         self.wal_replayed += len(recovery.entries)
         self.wal_truncated_bytes += recovery.truncated_bytes
         self.alive = True
@@ -287,6 +294,7 @@ class Dsosd:
                 f"schema {schema_name!r} has no index {index_name!r}"
             )
         index = shard.indices[index_name]
+        key = shard.schema.key_getters[index_name]
         if prefix is not None:
             if begin is not None or end is not None:
                 raise ValueError("prefix is exclusive with begin/end")
@@ -299,7 +307,7 @@ class Dsosd:
             obj = shard.objects[oid]
             if filters and not self._matches(obj, filters):
                 continue
-            out.append((shard.schema.key_for(index_name, obj), obj))
+            out.append((key(obj), obj))
         return out, scanned
 
     @staticmethod

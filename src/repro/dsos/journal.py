@@ -36,12 +36,14 @@ import json
 import zlib
 from dataclasses import dataclass
 
+from repro.records import canonical_json, frozen_record
+
 
 def _crc(text: str) -> int:
     return zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
+@frozen_record
 class WalEntry:
     """One admission: the store committed to landing this message.
 
@@ -131,26 +133,19 @@ class IngestJournal:
         self.duplicates_skipped = 0
 
     def admit(self, trace_id: str) -> bool:
-        """Journal ``trace_id``; False if it was already admitted.
-
-        Untraced messages (empty id) cannot be deduplicated and are
-        always admitted, unlogged.
-        """
-        if not trace_id:
-            return True
-        if trace_id in self._seen:
-            self.duplicates_skipped += 1
-            return False
-        self._seen.add(trace_id)
-        self.wal.append(WalEntry.make(self.env.now, trace_id))
-        return True
+        """Journal ``trace_id`` at ``env.now``; False if it was already
+        admitted."""
+        return self.admit_at(trace_id, self.env.now)
 
     def admit_at(self, trace_id: str, t: float) -> bool:
-        """:meth:`admit` with an explicit admission instant.
+        """Journal ``trace_id`` admitted at instant ``t``; False if it
+        was already admitted.
 
-        The express spine lands messages at virtual completion times
-        the engine clock has not necessarily reached; the WAL entry
-        must carry the delivery instant, not ``env.now``.
+        Untraced messages (empty id) cannot be deduplicated and are
+        always admitted, unlogged.  The express spine lands messages at
+        virtual completion times the engine clock has not necessarily
+        reached, so the WAL entry carries the delivery instant it is
+        given rather than ``env.now``.
         """
         if not trace_id:
             return True
@@ -184,7 +179,7 @@ class IngestJournal:
         return len(self.wal)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class WalRecord:
     """One ``dsosd`` WAL record: an applied object, checksummed."""
 
@@ -195,16 +190,28 @@ class WalRecord:
     checksum: int = -1
 
     @staticmethod
+    def _head(seq: int, schema: str, payload: str, trace_id: str) -> bytes:
+        """The checksummed part of a record line."""
+        return f"{seq}|{schema}|{payload}|{trace_id}".encode()
+
+    @staticmethod
     def compute_checksum(seq: int, schema: str, payload: str,
                          trace_id: str) -> int:
-        return _crc(f"{seq}|{schema}|{payload}|{trace_id}")
+        return zlib.crc32(WalRecord._head(seq, schema, payload, trace_id))
 
     @classmethod
     def make(cls, seq: int, schema: str, obj: dict,
              trace_id: str = "") -> "WalRecord":
-        payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        payload = canonical_json(obj)
         return cls(seq, schema, payload, trace_id,
                    cls.compute_checksum(seq, schema, payload, trace_id))
+
+    @staticmethod
+    def frame(seq: int, schema: str, payload: str, trace_id: str = "") -> bytes:
+        """``WalRecord(...).encode()`` straight from the fields: the
+        record line, checksummed once, with no record object built."""
+        head = WalRecord._head(seq, schema, payload, trace_id)
+        return head + b"|%08x\n" % zlib.crc32(head)
 
     @property
     def valid(self) -> bool:
@@ -217,10 +224,8 @@ class WalRecord:
         return json.loads(self.payload)
 
     def encode(self) -> bytes:
-        return (
-            f"{self.seq}|{self.schema}|{self.payload}|{self.trace_id}"
-            f"|{self.checksum:08x}\n"
-        ).encode()
+        head = self._head(self.seq, self.schema, self.payload, self.trace_id)
+        return head + b"|%08x\n" % self.checksum
 
     @classmethod
     def decode(cls, line: bytes) -> "WalRecord | None":
@@ -262,12 +267,13 @@ class StoreWal:
         self.records_appended = 0
         self.torn_writes = 0
 
-    def append(self, seq: int, schema: str, obj: dict,
-               trace_id: str = "") -> WalRecord:
-        record = WalRecord.make(seq, schema, obj, trace_id)
-        self._buf += record.encode()
+    def append(self, frame: bytes) -> None:
+        """Durably append one encoded record (:meth:`WalRecord.frame`).
+
+        Replicas of one shard append the same frame, built once per
+        object by the writer."""
+        self._buf += frame
         self.records_appended += 1
-        return record
 
     def tear_tail(self, drop_bytes: int = 7) -> None:
         """Simulate a torn write: the last ``drop_bytes`` never hit disk."""

@@ -50,7 +50,9 @@ class MetricStreamStore:
             producer = str(data.get("producer", "unknown"))
             timestamp = float(data.get("timestamp", 0.0))
             for metric, value in data["metrics"].items():
-                self.client.cluster.insert(
+                # A replicated store may reject the write (no live
+                # replica in the shard): only accepted samples count.
+                self.samples_stored += self.client.cluster.insert(
                     "ldms_metrics",
                     {
                         "producer": producer,
@@ -61,6 +63,5 @@ class MetricStreamStore:
                     },
                     validate=False,
                 )
-                self.samples_stored += 1
 
         return on_message

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 
+from repro.core.batch import ColumnarMessage
 from repro.dsos.client import DsosClient
 from repro.dsos.journal import IngestJournal
 from repro.dsos.schema import DARSHAN_DATA_SCHEMA
@@ -134,8 +135,11 @@ class DsosStreamStore:
     def on_message(self, message) -> None:
         # Fast lane: a publisher that template-built the payload ships
         # the equal-by-construction dict alongside it — skip the parse.
-        data = message.parsed if self._fast else None
-        if data is None:
+        # A columnar message needs not even that: its rows come from its
+        # shape and slot values (``data=None``, see :meth:`_rows`).
+        columnar = self._fast and type(message) is ColumnarMessage
+        data = message.parsed if self._fast and not columnar else None
+        if data is None and not columnar:
             try:
                 data = json.loads(message.payload)
             except json.JSONDecodeError:
@@ -150,9 +154,7 @@ class DsosStreamStore:
             self._ingest_hop(message, DUP_IGNORED)
             return
         if self._slow:
-            rows = (
-                self._flatten_fast(data) if self._fast else list(self._flatten(data))
-            )
+            rows = self._rows(message, data)
             self._slow_pending.append((message, rows))
             if message.trace_id:
                 collector = collector_for(self.daemon.env)
@@ -162,9 +164,7 @@ class DsosStreamStore:
                     )
             return
         if self._sharded:
-            rows = (
-                self._flatten_fast(data) if self._fast else list(self._flatten(data))
-            )
+            rows = self._rows(message, data)
             outcome, degraded, n_rows = self._store_replicated(message, rows)
             self._ingest_hop(message, outcome)
             if degraded:
@@ -174,7 +174,7 @@ class DsosStreamStore:
                     cb(message, n_rows)
             return
         if self._fast:
-            rows = self._flatten_fast(data)
+            rows = self._rows(message, data)
             if self._bus.in_batch:
                 # Buffered for one insert_many when the window closes.
                 # The hop and the counter stamp now — no simulated time
@@ -309,6 +309,14 @@ class DsosStreamStore:
             collector.hop(
                 message.trace_id, STAGE_INGEST, self.daemon.node.name, outcome
             )
+
+    def _rows(self, message, data) -> list[dict]:
+        """One message's database rows: from its parsed ``data``, or —
+        ``data is None``, a columnar message — through
+        :meth:`columnar_rows`."""
+        if data is None:
+            return self.columnar_rows(message.shape, message.values)
+        return self._flatten_fast(data) if self._fast else list(self._flatten(data))
 
     def _flatten_fast(self, data: dict) -> list[dict]:
         """Row-plan flatten: same objects as :meth:`_flatten`, with the

@@ -10,6 +10,11 @@ the walls are comparable:
   forward delivery and batched DSOS ingest; with the express spine
   armed (this campaign's inert world arms it), publish→forward→ingest
   is virtualized so engine events scale with application I/O.
+* ``observed`` — the fast lane in the configuration people leave on:
+  telemetry, live diagnosis and the flight recorder, landing in a 2×2
+  replicated store (the spine stands down; every hop is a real engine
+  event).  Its events/s ratio to the inert fast lane is the observer
+  tax, gated like the lane speedup.
 
 Host wall-clock, host events/sec, engine event count and a *per-lane*
 peak RSS are recorded; results land in ``benchmarks/BENCH_pipeline.json``
@@ -78,8 +83,8 @@ DEFAULT_RESULT_PATH = (
 #: Where dated ``repro bench --json`` snapshots accumulate.
 RESULTS_DIR = DEFAULT_RESULT_PATH.parent / "results"
 
-#: The benchmark lanes, in run order (slowest first).
-LANES = ("slow", "fast")
+#: The benchmark lanes (run order: see :func:`pipeline_benchmark`).
+LANES = ("slow", "fast", "observed")
 
 
 def snapshot_path(day=None) -> Path:
@@ -190,10 +195,18 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
     from repro.experiments.runner import run_job
     from repro.experiments.world import World, WorldConfig
 
-    fast = lane == "fast"
+    fast = lane != "slow"
+    observers = {}
+    if lane == "observed":
+        from repro.diagnosis import DiagnosisConfig
+
+        observers = dict(
+            telemetry=True, diagnosis=DiagnosisConfig(), flightrec=True,
+            dsos_shards=2, dsos_replication=2,
+        )
     rss_resettable = _reset_peak_rss()
     world = World(WorldConfig(
-        seed=seed, quiet=True, n_compute_nodes=2, fast_lane=fast,
+        seed=seed, quiet=True, n_compute_nodes=2, fast_lane=fast, **observers,
     ))
     app = Hmmer(ranks_per_node=8, n_families=n_families)
     t0 = time.perf_counter()
@@ -239,21 +252,25 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
 def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
     """Run the tracked pipeline benchmark; returns the result payload.
 
-    Runs the slow (reference) lane, then the fast lane in this
-    process, :data:`REPEATS` rounds in that order, and asserts
-    the simulated outcomes match: no lane may buy speed with fidelity.
+    Runs the slow (reference), fast and observed lanes in this
+    process, :data:`REPEATS` rounds each, and asserts
+    the simulated outcomes match: no lane may buy speed with fidelity,
+    and no observer may perturb what it observes.
     Each lane reports the median of its runs (wall, hence events/s, and
     peak RSS), with every run's wall in ``wall_s_runs`` as the spread.
     """
     n_families = _QUICK_FAMILIES if quick else _FULL_FAMILIES
     runs: dict[str, list[dict]] = {lane: [] for lane in LANES}
     sims: dict[str, dict] = {}
-    for _ in range(REPEATS):
-        for lane in LANES:
-            host, sims[lane] = _run_lane(
-                lane=lane, n_families=n_families, seed=seed
-            )
-            runs[lane].append(host)
+    # The inert lanes' rounds interleave; the observed lane's come
+    # after them.  A finished observed world leaves the process RSS
+    # above an inert lane's peak, and the per-lane watermark reset can
+    # only lower the peak to the current RSS.
+    order = [lane for _ in range(REPEATS) for lane in LANES[:2]]
+    order += [LANES[2]] * REPEATS
+    for lane in order:
+        host, sims[lane] = _run_lane(lane=lane, n_families=n_families, seed=seed)
+        runs[lane].append(host)
 
     # Fidelity line: identical simulated results in every lane.
     reference = sims["slow"]
@@ -301,7 +318,11 @@ def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
         "simulated": reference,
         "slow": hosts["slow"],
         "fast": hosts["fast"],
+        "observed": hosts["observed"],
         "speedup_events_per_sec": round(eps["fast"] / eps["slow"], 3),
+        "observed_vs_fast_events_per_sec": round(
+            eps["observed"] / eps["fast"], 3
+        ),
         "speedup_vs_seed_baseline": vs_seed,
         "speedup_vs_fast_baseline": vs_fast_baseline,
     }

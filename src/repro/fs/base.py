@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.fs.variability import LoadProcess
+from repro.records import frozen_record
 from repro.sim import Environment
 
 __all__ = ["File", "FileHandle", "FileSystem", "FileSystemError", "OpRecord"]
@@ -25,7 +26,7 @@ class FileSystemError(RuntimeError):
     """Simulated I/O error (missing file, bad handle, ...)."""
 
 
-@dataclass(frozen=True)
+@frozen_record
 class OpRecord:
     """Timing/extent record of one completed I/O operation.
 

@@ -35,6 +35,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.records import canonical_json
 from repro.signals import Signal
 from repro.telemetry.trace import QUORUM_DEGRADED, STORED
 
@@ -79,17 +80,6 @@ RECORDER_METRICS = (
     Signal("flightrec_triggers_dropped_total", "triggers", "counter", __name__,
            "triggers ignored by coalescing or the bundle cap (cumulative)"),
 )
-
-
-def canonical_json(obj) -> str:
-    """The house canonical form: sorted keys, compact separators.
-
-    Identical to the WAL payload encoding in
-    :meth:`repro.dsos.journal.WalRecord.make`; float formatting is
-    ``repr`` (shortest round-trip), so equal values always serialize to
-    equal bytes.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class RingBuffer:

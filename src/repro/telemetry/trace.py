@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.records import frozen_record
+
 __all__ = [
     "HopRecord",
     "MessageTrace",
@@ -156,7 +158,7 @@ def parse_trace_id(
     return None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class HopRecord:
     """One stage's view of one message's journey."""
 

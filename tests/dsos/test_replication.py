@@ -10,6 +10,7 @@ import pytest
 
 from repro.dsos import Attr, DsosCluster, Schema, SchemaError
 from repro.dsos.daemon import StoreDownError
+from repro.dsos.journal import WalRecord
 
 
 def _schema():
@@ -137,6 +138,35 @@ def test_insert_and_insert_many_delegate_to_replication():
     assert c.count("events") == 3
 
 
+def test_insert_reports_a_rejected_write():
+    # 1x2 cluster, both replicas down: the write is rejected, and
+    # insert/insert_many say so instead of claiming it landed.
+    c = _cluster(shards=1, replication=2)
+    for d in c.daemons:
+        c.crash_daemon(d)
+    assert c.insert("events", _event(1, 0, 0.0)) is False
+    assert c.insert_many("events", [_event(1, 0, 1.0)]) == 0
+    assert c.rejected_writes == 2
+    assert c.count("events") == 0
+
+
+def test_insert_many_returns_the_accepted_count():
+    c = _cluster()
+    jobs = _jobs_on_distinct_shards(c)
+    for d in c.replica_sets[c.shard_of("events", _event(jobs[0], 0, 0.0))]:
+        c.crash_daemon(d)
+    objs = [_event(jobs[0], 0, 1.0), _event(jobs[1], 0, 2.0),
+            _event(jobs[1], 1, 3.0)]
+    assert c.insert_many("events", objs) == 2
+    assert c.insert("events", _event(jobs[1], 2, 4.0)) is True
+    assert c.count("events") == 3
+    # Legacy clusters accept every write.
+    flat = DsosCluster("flat", n_daemons=2)
+    flat.attach_schema(_schema())
+    assert flat.insert("events", _event(1, 0, 0.0)) is True
+    assert flat.insert_many("events", objs) == 3
+
+
 def test_legacy_cluster_refuses_replication_api():
     c = DsosCluster("flat", n_daemons=3)
     c.attach_schema(_schema())
@@ -229,6 +259,73 @@ def test_replica_invariant_after_every_single_crash():
         census = c.census()
         assert census.complete, f"daemon {i}: {census}"
         assert census.replicas_down == 0
+
+
+def _shard_frames(c, written):
+    """Per shard, the WAL bytes a replica must hold: one
+    ``WalRecord.make(...).encode()`` per accepted object, in seq order."""
+    frames = [b""] * c.shards
+    for obj, trace_id, ack in written:
+        frames[ack.shard] += WalRecord.make(
+            ack.seq, "events", obj, trace_id
+        ).encode()
+    return frames
+
+
+def test_replicas_append_one_frame_per_object():
+    c = _cluster()
+    jobs = _jobs_on_distinct_shards(c)
+    written = []
+    for i in range(24):
+        obj = _event(jobs[i % 2], i % 3, 0.1 * i)
+        trace_id = f"{jobs[i % 2]}:{i % 3}:{i}" if i % 5 else ""
+        written.append((obj, trace_id, c.insert_replicated(
+            "events", obj, trace_id=trace_id)))
+    frames = _shard_frames(c, written)
+    for shard, replicas in enumerate(c.replica_sets):
+        assert frames[shard]
+        for d in replicas:
+            assert bytes(d.wal._buf) == frames[shard]
+            assert d.wal.records_appended == frames[shard].count(b"\n")
+    # Replicas share the object and its index keys, not copies of them.
+    a, b = c.replica_sets[0]
+    for index_name in a._shard("events").indices:
+        rows_a, _ = a.query_shard("events", index_name)
+        rows_b, _ = b.query_shard("events", index_name)
+        assert rows_a == rows_b
+        assert all(x[1] is y[1] for x, y in zip(rows_a, rows_b))
+
+
+def test_crash_recover_repair_reconciles_frames_and_indices():
+    c = _cluster()
+    jobs = _jobs_on_distinct_shards(c)
+    written = []
+    for i in range(20):
+        obj = _event(jobs[i % 2], i % 4, 0.1 * i)
+        written.append((obj, f"t{i}", c.insert_replicated(
+            "events", obj, trace_id=f"t{i}")))
+    victim, peer = c.replica_sets[0]
+    c.crash_daemon(victim, tear_tail=True, tear_bytes=30)
+    # Writes while the victim is down land on the peer alone.
+    for i in range(20, 26):
+        obj = _event(jobs[0], 0, 0.1 * i)
+        written.append((obj, f"t{i}", c.insert_replicated(
+            "events", obj, trace_id=f"t{i}")))
+    assert bytes(peer.wal._buf) == _shard_frames(c, written)[0]
+    c.recover_daemon(victim)
+    pulled = c.repair_daemon(victim)
+    assert pulled and c.census().complete
+    # The victim's log is its replayed prefix plus the pulled frames —
+    # byte for byte the records the peer holds, in a different order.
+    recovered = victim.wal.recover().entries
+    assert sorted(r.encode() for r in recovered) == sorted(
+        r.encode() for r in peer.wal.recover().entries
+    )
+    assert set(victim.applied) == set(peer.applied)
+    for index_name in victim._shard("events").indices:
+        rows_v, _ = victim.query_shard("events", index_name)
+        rows_p, _ = peer.query_shard("events", index_name)
+        assert rows_v == rows_p
 
 
 def test_writes_to_crashed_daemon_raise_store_down():

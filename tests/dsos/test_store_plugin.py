@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.dsos import DARSHAN_DATA_SCHEMA, DsosClient, DsosCluster, DsosStreamStore
+from repro.dsos.metric_store import MetricStreamStore
 from repro.ldms import Ldmsd
 from repro.sim import Environment, RngRegistry
 
@@ -111,3 +112,28 @@ def test_store_multiple_segments_multiple_objects(env, daemon, client):
     daemon.publish_now(TAG, msg)
     assert store.objects_stored == 2
     assert client.count("darshan_data") == 2
+
+
+def test_metric_store_counts_only_accepted_samples(env, daemon):
+    # 1x2 replicated store with both replicas down: every write is
+    # rejected, so no sample may count as stored.
+    cluster = DsosCluster("metrics", shards=1, replication=2)
+    store = MetricStreamStore(daemon, ["metrics/meminfo"], DsosClient(cluster))
+    for d in cluster.daemons:
+        cluster.crash_daemon(d)
+    daemon.publish_now("metrics/meminfo", {
+        "producer": "nid00001", "timestamp": 1.0,
+        "metrics": {"MemFree": 1.0, "Active": 2.0},
+    })
+    assert store.samples_stored == 0
+    assert cluster.count("ldms_metrics") == 0
+    assert cluster.rejected_writes == 2
+    # Back up: the same message is stored and counted.
+    for d in cluster.daemons:
+        cluster.recover_daemon(d)
+    daemon.publish_now("metrics/meminfo", {
+        "producer": "nid00001", "timestamp": 2.0,
+        "metrics": {"MemFree": 1.0, "Active": 2.0},
+    })
+    assert store.samples_stored == 2
+    assert cluster.count("ldms_metrics") == 2

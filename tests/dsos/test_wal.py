@@ -78,7 +78,7 @@ def test_wal_record_corruption_rejected():
 def _log(n, torn_tail_bytes=0):
     wal = StoreWal()
     for seq in range(n):
-        wal.append(seq, "events", {"seq": seq}, trace_id=f"t{seq}")
+        wal.append(WalRecord.make(seq, "events", {"seq": seq}, f"t{seq}").encode())
     if torn_tail_bytes:
         wal.tear_tail(torn_tail_bytes)
     return wal
@@ -133,7 +133,7 @@ def test_recover_physically_truncates_refused_tail():
     assert first.truncated
     # Appends after recovery never interleave with untrusted bytes: a
     # second recovery replays the salvaged prefix plus the new record.
-    wal.append(99, "events", {"seq": 99}, trace_id="t99")
+    wal.append(WalRecord.make(99, "events", {"seq": 99}, "t99").encode())
     second = wal.recover()
     assert [r.seq for r in second.entries] == [0, 1, 99]
     assert second.truncated_bytes == 0

@@ -40,13 +40,17 @@ def test_report_separates_host_from_simulated():
         assert section["wall_s"] > 0
         assert section["engine_events"] > 0
         assert section["peak_rss_kib"] > 0
-    # Two lanes; only the fast lane carries spine batch counters.
-    assert LANES == ("slow", "fast")
+    # Three lanes; the slow lane builds no spine, the inert fast lane
+    # arms it, and the observed lane's spine refuses to arm.
+    assert LANES == ("slow", "fast", "observed")
     assert "spine" not in result["slow"]
     spine = result["fast"]["spine"]
     assert spine["armed"] and spine["dearms"] == 0
     assert spine["rows"] == result["simulated"]["messages_published"]
+    assert not result["observed"]["spine"]["armed"]
+    assert result["observed"]["spine"]["rows"] == 0
     assert result["speedup_events_per_sec"] > 0
+    assert result["observed_vs_fast_events_per_sec"] > 0
     assert not any("columnar" in key for key in result)
     # Quick runs never claim a full-campaign baseline comparison.
     assert result["speedup_vs_seed_baseline"] is None

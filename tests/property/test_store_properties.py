@@ -28,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import Hmmer, MpiIoTest
 from repro.core import ConnectorConfig
 from repro.dsos import Attr, DsosCluster, Schema
-from repro.dsos.journal import StoreWal
+from repro.dsos.journal import StoreWal, WalRecord
 from repro.experiments import World, WorldConfig, run_job
 from repro.faults import FaultPlan, StoreCrash
 from repro.ldms.resilience import RetryPolicy
@@ -129,6 +129,34 @@ def test_fast_drill_matches_slow_lane():
     assert world_fast.dsos.cluster.census().complete
 
 
+def _replicated_wals(fast):
+    world = World(WorldConfig(
+        seed=424, quiet=True, n_compute_nodes=2, telemetry=True,
+        fast_lane=fast, dsos_shards=2, dsos_replication=2,
+    ))
+    run_job(world, Hmmer(ranks_per_node=4, n_families=30), "nfs",
+            connector_config=ConnectorConfig(fast_lane=fast))
+    return world.dsos.cluster
+
+
+def test_replica_wals_are_one_frame_per_object_on_both_lanes():
+    fast, slow = _replicated_wals(True), _replicated_wals(False)
+    frames = 0
+    for shard, replicas in enumerate(fast.replica_sets):
+        first = replicas[0]
+        expected = b"".join(
+            WalRecord.make(seq, *first._by_seq[seq]).encode()
+            for seq in sorted(first.applied)
+        )
+        frames += expected.count(b"\n")
+        for d in replicas:
+            assert bytes(d.wal._buf) == expected
+        for d in slow.replica_sets[shard]:
+            assert bytes(d.wal._buf) == expected
+    # One job lands on one shard; the other shard's logs stay empty.
+    assert frames == fast.count("darshan_data") > 0
+
+
 # ------------------------------------------------ WAL tear property
 
 
@@ -140,9 +168,10 @@ def test_fast_drill_matches_slow_lane():
 def test_torn_wal_always_recovers_an_exact_prefix(n_records, tear):
     wal = StoreWal()
     for seq in range(n_records):
-        wal.append(seq, "events",
-                   {"seq": seq, "op": "write", "ts": 0.25 * seq},
-                   trace_id=f"1:0:{seq}")
+        wal.append(WalRecord.make(
+            seq, "events", {"seq": seq, "op": "write", "ts": 0.25 * seq},
+            f"1:0:{seq}",
+        ).encode())
     reference = bytes(wal._buf)
     wal.tear_tail(min(tear, len(reference)))
     recovery = wal.recover()
