@@ -43,9 +43,10 @@ class Link:
     """A physical link: propagation latency plus serialized bandwidth."""
 
     #: Express-spine back-pointer (repro.core.batch): while an armed
-    #: spine virtualizes transfers over this link, any state change
-    #: (partition, degrade) must de-arm it first so in-flight virtual
-    #: batches complete against the timing they were launched with.
+    #: spine fuses transfers over this link, any state change
+    #: (partition, degrade) must de-arm it first, so fused transfers in
+    #: flight become real link occupancy with the timing they were
+    #: computed against.
     _express_spine = None
 
     def __init__(

@@ -1,28 +1,53 @@
-"""Columnar record batches and the express spine.
+"""Columnar messages and the express spine.
 
-The unit of work through the monitoring pipeline becomes a *batch of
-events*, not an event.  Three cooperating pieces:
+Two pieces:
 
-* :class:`RecordBatch` — the columnar layout (parallel arrays per
-  column: trace ids, payload sizes, compiled shapes, slot values).  No
-  list-of-dicts anywhere: a row is an index, a column is an array.
 * :class:`ColumnarMessage` — a lazy, StreamMessage-duck-typed view of
-  one row, for the per-message fallback path: the payload join and the
-  parsed dict materialize only if something downstream actually reads
-  them (chaos paths, spill buffers, CSV stores).
+  one formatted event: the payload join and the parsed dict
+  materialize only if something downstream actually reads them (chaos
+  paths, spill buffers, CSV stores).  The DSOS store builds its rows
+  straight from the message's shape and slot values.
 * :class:`ColumnarSpine` — the express lane: when an armed guard proves
-  nothing can observe the difference, the publish → forward → ingest
-  pipeline for connector traffic is *virtualized*.  Each hop's timing
-  recurrence (outbox drain, fused link transfer, deferred same-instant
-  kick) is computed arithmetically on a small private heap instead of
-  through engine events, so ``engine_events`` scales with application
-  I/O, not with monitoring messages.  Every externally observable
-  artifact — bus/forward counters (the *real* stats objects are
-  mutated), DSOS rows and their round-robin placement, ingest-journal
-  WAL entries, telemetry hops with exact ``t_in``/``t_out``, gauges,
-  histograms — is produced identically, at the identical simulated
-  instants, with the identical float arithmetic as the event-driven
-  fast lane.
+  nothing can observe the difference, a published event whose whole
+  path is provably uncontended is *fused*: its publish → forward →
+  forward → ingest instants are computed in closed form and its
+  effects applied eagerly, with no engine event, so ``engine_events``
+  scales with application I/O, not with monitoring messages.  Every
+  other event is handed to the real pipeline — the real
+  ``_Forwarder``s, buses and ``DsosStreamStore.on_message`` — as a
+  :class:`ColumnarMessage`.  The real forwarders are the only code that
+  queues, batches, kicks and drains.
+
+One forwarder, plus fused rows
+------------------------------
+
+A row fuses at its publish instant ``now`` iff:
+
+* every real spine forwarder is idle — empty outbox, no drain pending
+  (so nothing is in flight that the row could queue behind or batch
+  with);
+* this node's L0 hop is free at ``now`` and the L1 hop is free by the
+  instant ``t0`` the row reaches L1 (no earlier fused row still holds
+  either);
+* no other node can reach L1 first: ``env.peek() + min L0 latency >
+  t0``.  Any later row is published at or after the next engine event,
+  so it arrives at L1 strictly after ``t0`` and can only queue behind.
+
+The row is then a one-row batch at each hop, and its completion
+instants ``t0`` (L1 arrival) and ``t1`` (ingest) follow from the same
+float arithmetic as ``_Forwarder._kick``.  It emits the identical
+stats, hops, gauges, journal admissions and DSOS rows, in the identical
+per-trace order, as the event-driven lane.  Its rows wait in a slab for
+one ``insert_many``.
+
+A fused row leaves an *occupancy stamp* on the two real forwarders it
+used (``busy_until``: ``t0`` on its L0 hop, ``t1`` on L1).  A row that
+cannot fuse first *materializes* every stamp still in the future (the
+hop counts as draining and holds its link channel; one event at the
+stamp releases it and drains again, see ``_Forwarder.materialize``) and
+flushes the slab, so the real pipeline sees the occupancy and the DSOS
+insert order stays the event-driven lane's; then it is published
+through the real bus.
 
 Guard discipline
 ----------------
@@ -31,36 +56,31 @@ The spine arms only when the world is *inert*: no fault plan, no retry
 policy, no standby aggregator, no diagnosis engine, no probe scanner,
 no CSV store, single-link routes, fast-lane daemons and store.
 Telemetry may be armed — the spine emits exact hop records.  Any
-mutation that could break the mirror (a daemon failing or turning
+mutation that could break the closed form (a daemon failing or turning
 flaky, a link partition/degrade, congestion attach, a new subscriber
-on a spine bus, samplers starting, a foreign publish on the spine's
-tag, a new ingest observer) *de-arms first*: queued virtual traffic
-completes delivery to the pre-mutation topology, then the pipeline
-returns to the per-message path.  De-arm is one-way for the mutating
-scenario and slightly generous — rows a real crash would have purged
-from an outbox instead finish delivery — which is why every
-guard-breaking scenario falls back *before* the mutation applies.
+on a spine bus or forward rule into a spine relay, samplers starting,
+a foreign publish on a spine daemon, a new ingest observer) *de-arms
+first*: stamps are materialized and the slab flushed, then every
+publish takes the per-message path again.
 
-Rows arriving at one instant (synchronized ranks, equal-size transfers
-from several nodes) batch exactly as the real forwarders' deferred
-same-instant kicks batch them.  Ties between causally unrelated entries
-— a transfer completing at the very instant of a publish — may resolve
-in a different order than the event-driven path; with continuous
-service times such ties do not occur — the same caveat
+Ties between causally unrelated entries — a transfer completing at the
+very instant of a publish — may resolve in a different order than the
+event-driven path; with continuous service times such ties do not
+occur — the same caveat
 :meth:`~repro.cluster.network.Network.transfer_coalesced` documents.
+Likewise, the ``peek`` bound does not see a process that this row's own
+engine step wakes at ``now``; such a process would have to finish an
+I/O operation, format and publish within one L0 transfer to overtake.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.telemetry import trace as _trace
 from repro.telemetry.collector import collector_for
 
 __all__ = [
-    "RecordBatch",
     "ColumnarMessage",
     "ColumnarSpine",
     "SpineStats",
@@ -74,43 +94,6 @@ _ENV_ATTR = "_repro_express_spine"
 def spine_for(env) -> "ColumnarSpine | None":
     """The armed express spine for ``env``, or ``None``."""
     return getattr(env, _ENV_ATTR, None)
-
-
-class RecordBatch:
-    """Array-of-fields container for a burst of formatted events.
-
-    Parallel columns, one entry per row: the trace id, the payload
-    size in bytes (== the joined payload's length, computed without
-    joining), the compiled :class:`~repro.core.json_format._Shape`,
-    and the shape's varying slot values.  Everything downstream —
-    transfer byte totals, DSOS row construction, hop attribution — is
-    answered from the columns; no per-row dict exists until (unless)
-    the terminal store builds the database object itself.
-    """
-
-    __slots__ = ("trace_ids", "nbytes", "shapes", "values", "times")
-
-    def __init__(self):
-        self.trace_ids: list[str] = []
-        self.nbytes: list[int] = []
-        self.shapes: list = []
-        self.values: list[tuple] = []
-        #: Per-row stage timestamp (enqueue instant at the current hop).
-        self.times: list[float] = []
-
-    def __len__(self) -> int:
-        return len(self.trace_ids)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.nbytes)
-
-    def append(self, trace_id: str, nbytes: int, shape, values, t: float) -> None:
-        self.trace_ids.append(trace_id)
-        self.nbytes.append(nbytes)
-        self.shapes.append(shape)
-        self.values.append(values)
-        self.times.append(t)
 
 
 class ColumnarMessage:
@@ -176,98 +159,30 @@ class ColumnarMessage:
 
 @dataclass
 class SpineStats:
-    """Batch-allocation accounting for one express spine."""
+    """Row accounting for one express spine."""
 
     #: Rows appended (one per published event while armed).
     rows: int = 0
-    #: Transfer-level RecordBatches assembled at the first hop.
-    record_batches: int = 0
-    #: Rows carried by those batches (== rows, minus overflow drops).
-    batch_rows: int = 0
-    max_batch_rows: int = 0
-    #: ``insert_many`` flushes of the ingest slab.
-    ingest_flushes: int = 0
+    #: Rows applied in closed form (one-row transfers at each hop).
+    fused: int = 0
+    #: Rows handed to the real forwarders.
+    fall_through: int = 0
     #: Times the spine de-armed (0 on a clean express campaign).
     dearms: int = 0
 
     @property
-    def mean_batch_rows(self) -> float:
-        if not self.record_batches:
-            return 0.0
-        return self.batch_rows / self.record_batches
+    def record_batches(self) -> int:
+        """Transfers the spine carried itself: one per fused row."""
+        return self.fused
 
-
-class _VirtualForwarder:
-    """The timing mirror of one real :class:`_Forwarder` hop.
-
-    Reproduces, arithmetically: the bounded outbox (same capacity and
-    overflow rule as ``Store.try_put``), depth accounting against the
-    *real* ``ForwardStats``, the drain of up to ``batch_size`` rows
-    when idle, and the fused uncontended single-link completion time
-    ``(t + latency·f) + transmit(total)·f`` with the identical float
-    operand order as ``_Forwarder._kick`` — so completion instants are
-    bit-identical to the event-driven schedule.
-
-    Occupancy is a timestamp, not a flag: ``busy_until`` is the instant
-    the hop frees up.  A transfer started by :meth:`drain` leaves a
-    completion entry in the spine's heap (``tracked``); a transfer
-    fused closed-form by :meth:`ColumnarSpine.append` leaves only the
-    timestamp, so a later row that queues behind it plants a one-shot
-    drain marker (``pending_drain``) at ``busy_until`` — the instant
-    the real ``_kick`` loop would have drained it.  The same marker,
-    planted at the enqueue instant, is the real forwarder's deferred
-    same-instant kick (:meth:`ColumnarSpine._kick`).
-    """
-
-    __slots__ = (
-        "spine", "fwd", "fstats", "link", "node", "tag", "outbox",
-        "capacity", "busy_until", "tracked", "pending_drain",
-    )
-
-    def __init__(self, spine, fwd, link):
-        self.spine = spine
-        self.fwd = fwd  # the real _Forwarder: stats live there
-        self.fstats = fwd.stats
-        self.link = link
-        self.node = fwd.owner.node.name
-        self.tag = fwd.tag
-        self.outbox: deque = deque()
-        self.capacity = fwd.outbox.capacity
-        self.busy_until = float("-inf")
-        self.tracked = False
-        self.pending_drain = False
-
-    def drain(self, t: float) -> None:
-        """Start a transfer at ``t`` if idle and rows are queued."""
-        if not self.outbox:
-            return
-        if self.busy_until > t:
-            if not self.tracked and not self.pending_drain:
-                # A fused transfer holds this hop with no completion
-                # entry to trigger the next drain; mark the instant it
-                # frees up.
-                self.pending_drain = True
-                self.spine._push(self.busy_until, self, None, 0)
-            return
-        outbox = self.outbox
-        take = min(len(outbox), self.fwd.batch_size)
-        batch = RecordBatch()
-        for _ in range(take):
-            row = outbox.popleft()
-            batch.append(*row)
-        total = batch.total_bytes
-        # Same fused arithmetic as _Forwarder._kick (factor is 1.0 by
-        # guard; multiplying keeps the operand order literal).
-        factor = 1.0
-        link = self.link
-        done = (t + link.latency_s * factor) + link.transmit_time(total) * factor
-        self.busy_until = done
-        self.tracked = True
-        self.spine._push(done, self, batch, total)
+    @property
+    def batch_rows(self) -> int:
+        """Rows those transfers carried."""
+        return self.fused
 
 
 class ColumnarSpine:
-    """Virtualized publish→forward→ingest for one stream tag."""
+    """Closed-form publish→forward→ingest for one stream tag."""
 
     def __init__(self, world):
         self.world = world
@@ -277,16 +192,21 @@ class ColumnarSpine:
         self.fabric = world.fabric
         self.stats = SpineStats()
         self._armed = False
-        #: (time, seq, vfwd, batch, total_bytes) virtual completions.
-        self._heap: list = []
-        self._hseq = 0
-        self._l0: dict[str, _VirtualForwarder] = {}
-        self._l1: _VirtualForwarder | None = None
+        #: node name -> (the node's real L0 forwarder, its link to L1).
+        self._l0: dict[str, tuple] = {}
+        #: (the real L1 forwarder, its link to L2).
+        self._l1: tuple | None = None
+        #: Every real spine forwarder, L0s first.
+        self._forwarders: list = []
+        self._min_latency = float("inf")
+        #: True while real forwarders may hold fall-through traffic.
+        self._busy = False
         #: Cross-group ingest slab: DSOS rows awaiting one insert_many.
         #: Round-robin placement makes insert_many ≡ sequential inserts,
         #: so flush boundaries are free (``DsosCluster.insert_many``).
         self._slab: list[dict] = []
         self._slab_cap = 1024
+        #: Latest fused ingest instant (``-inf`` before the first).
         self.last_time = float("-inf")
         self._hooked: list = []
         # Hot-loop references, resolved at arm time (attribute chases
@@ -304,7 +224,7 @@ class ColumnarSpine:
 
     def accepts(self, daemon, tag: str) -> bool:
         """True iff this armed spine carries ``tag`` traffic published
-        at ``daemon`` (one of the virtualized L0 entry points)."""
+        at ``daemon`` (one of the spine's L0 entry points)."""
         return (
             self._armed and tag == self.tag and daemon.node.name in self._l0
         )
@@ -325,7 +245,7 @@ class ColumnarSpine:
         if not store._fast or store._slow or store._observers or store._bus.in_batch:
             return False
         # Replicated DSOS: quorum acks and per-write sequence numbers
-        # are not virtualizable — the express spine only serves the
+        # have no closed form — the express spine only serves the
         # legacy flat cluster.
         if store._sharded:
             return False
@@ -337,30 +257,42 @@ class ColumnarSpine:
             if d.failed or not d.fast_lane:
                 return False
             for f in d._forwarders:
-                if f._flaky is not None or f.retry is not None or len(f.outbox):
+                if (
+                    f._flaky is not None or f.retry is not None
+                    or len(f.outbox) or f._draining
+                ):
                     return False
-        # Exactly one forward rule per relay daemon, on our tag, over a
-        # healthy single-link route, with an undisturbed subscriber list.
-        l1 = fabric.l1
-        if len(l1._forwarders) != 1 or l1._forwarders[0].tag != self.tag:
+        l1, l2 = fabric.l1, fabric.l2
+        if l2.streams._subscribers.get(self.tag) != [store.on_message]:
             return False
-        if fabric.l2.streams._subscribers.get(self.tag) != [store.on_message]:
+
+        def hop(name, daemon, peer):
+            """``(forwarder, link)`` of ``daemon``'s one forward rule —
+            on our tag, to ``peer``, over a healthy single-link route,
+            with an undisturbed subscriber list — or ``None``."""
+            if len(daemon._forwarders) != 1:
+                return None
+            fwd = daemon._forwarders[0]
+            if (
+                fwd.tag != self.tag or fwd.peer is not peer
+                or daemon.streams._subscribers.get(self.tag) != [fwd.enqueue]
+            ):
+                return None
+            links = net.links_on_path(name, peer.node.name)
+            if len(links) != 1 or not links[0]._up or links[0]._degrade != 1.0:
+                return None
+            return fwd, links[0]
+
+        l0 = {
+            name: hop(name, d, l1)
+            for name, d in fabric.compute_daemons.items()
+        }
+        l1hop = hop(l1.node.name, l1, l2)
+        if l1hop is None or None in l0.values():
             return False
-        if l1.streams._subscribers.get(self.tag) != [l1._forwarders[0].enqueue]:
-            return False
-        links = net.links_on_path(l1.node.name, fabric.l2.node.name)
-        if len(links) != 1 or not links[0]._up or links[0]._degrade != 1.0:
-            return False
-        self._l1 = _VirtualForwarder(self, l1._forwarders[0], links[0])
-        for name, d in fabric.compute_daemons.items():
-            if len(d._forwarders) != 1 or d._forwarders[0].tag != self.tag:
-                return False
-            if d.streams._subscribers.get(self.tag) != [d._forwarders[0].enqueue]:
-                return False
-            dlinks = net.links_on_path(name, l1.node.name)
-            if len(dlinks) != 1 or not dlinks[0]._up or dlinks[0]._degrade != 1.0:
-                return False
-            self._l0[name] = _VirtualForwarder(self, d._forwarders[0], dlinks[0])
+        self._l0, self._l1 = l0, l1hop
+        self._forwarders = [fwd for fwd, _ in (*l0.values(), self._l1)]
+        self._min_latency = min(link.latency_s for _, link in l0.values())
         self._journal = store.journal
         self._sbus_stats = store._bus.stats
         self._rows_fn = store.columnar_rows
@@ -375,64 +307,39 @@ class ColumnarSpine:
         targets = [net, *daemons, self.store]
         for d in daemons:
             targets.append(d.streams)
-        for vf in (*self._l0.values(), self._l1):
-            targets.append(vf.link)
+        for _, link in (*self._l0.values(), self._l1):
+            targets.append(link)
         for obj in targets:
             obj._express_spine = self
             self._hooked.append(obj)
 
     def dearm(self) -> None:
-        """Complete all in-flight virtual traffic, then stand down.
+        """Hand everything to the real pipeline, then stand down.
 
-        Queued rows finish delivery to the pre-mutation topology (their
-        completion instants may lie beyond ``env.now``; the records they
-        produce are stamped at those instants).  Afterwards every
-        publish takes the per-message path again.
+        Fused transfers still in flight become real engine state, the
+        slab lands; afterwards every publish takes the per-message path.
         """
         if not self._armed:
             return
         self._armed = False
         self.stats.dearms += 1
-        self.drain_all()
+        self._materialize()
         for obj in self._hooked:
             obj._express_spine = None
         self._hooked.clear()
         if getattr(self.env, _ENV_ATTR, None) is self:
             delattr(self.env, _ENV_ATTR)
 
-    # -- the virtual clock ------------------------------------------------
-
-    def _push(self, t: float, vfwd, batch, total: int) -> None:
-        heapq.heappush(self._heap, (t, self._hseq, vfwd, batch, total))
-        self._hseq += 1
-
-    def advance(self, now: float) -> None:
-        """Apply every virtual completion due strictly before ``now``.
-
-        Entries at ``now`` itself wait: a kick deferred at this very
-        instant must still see rows published at it join its batch.
-        """
-        heap = self._heap
-        while heap and heap[0][0] < now:
-            t, _, vfwd, batch, total = heapq.heappop(heap)
-            self._complete(vfwd, batch, total, t)
-        if len(self._slab) >= self._slab_cap:
-            self._flush_slab()
-
     def drain_all(self) -> float:
-        """Run the virtual schedule dry (end of run / de-arm).
+        """Land the slab (end of run).
 
-        Returns the last virtual completion instant, ``-inf`` if the
-        spine never carried traffic.
+        Returns the last fused ingest instant — which may lie beyond
+        the last engine event — or ``-inf`` if no row ever fused.
         """
-        heap = self._heap
-        while heap:
-            t, _, vfwd, batch, total = heapq.heappop(heap)
-            self._complete(vfwd, batch, total, t)
         self._flush_slab()
         return self.last_time
 
-    # -- hop mirrors ------------------------------------------------------
+    # -- the per-row path -------------------------------------------------
 
     def append(
         self, daemon, shape, values, nbytes: int,
@@ -441,157 +348,120 @@ class ColumnarSpine:
         """One published event enters the spine at ``env.now``.
 
         The caller (the connector's fast lane) has already advanced
-        the clock to the publish-completion instant ``t_done`` and
-        charged its own stats; this mirrors ``publish_prepaid`` → bus →
-        forwarder-enqueue exactly, then lets the virtual transport run.
+        the clock to the publish-completion instant and charged its own
+        stats.  The row fuses if it can (module docstring); otherwise
+        it takes the real per-message path from here.
         """
         env = self.env
         now = env.now
-        if self._heap:
-            self.advance(now)
-        elif len(self._slab) >= self._slab_cap:
-            self._flush_slab()
         self.stats.rows += 1
         node = daemon.node.name
-        vfwd = self._l0[node]
-        fwd = vfwd.fwd
-        bus_stats = daemon.streams.stats
-        bus_stats.published += 1
-        bus_stats.bytes_published += nbytes
-        l1 = self._l1
-        # Engine events due at this instant run before the real
-        # forwarder's kick — possibly more publishes joining its batch.
-        engine_due = env.peek() <= now
-        if (
-            not self._heap and not engine_due
-            and not vfwd.outbox and vfwd.busy_until <= now
-            and not l1.outbox
-            and 0 < vfwd.capacity and 0 < l1.capacity
-        ):
-            # Nothing in flight anywhere on the spine and the first hop
-            # is idle: the row's completion instant is closed-form —
-            # enqueue → drain → transfer → deliver → transfer → ingest
-            # collapsed to arithmetic.  Valid only because both hops are
-            # provably idle and the heap empty, so the row is a one-row
-            # batch at each hop and nothing can reorder around it.
-            # Emits the identical stats, hops, gauges, journal
-            # admissions and DSOS rows — in the identical per-trace
-            # order, at the identical instants — as the generic
-            # outbox/heap walk would.  ``busy_until`` stamps keep later
-            # rows honest: one published before ``t0`` (or ``t1``)
-            # queues behind this transfer exactly as the real
-            # forwarders would make it.
-            link = vfwd.link
+        fwd, link = self._l0[node]
+        l1, l1link = self._l1
+        if fwd.busy_until <= now and self._idle():
             t0 = (now + link.latency_s * 1.0) + link.transmit_time(nbytes) * 1.0
-            if l1.busy_until <= t0:
-                bus_stats.delivered += 1
-                l1link = l1.link
+            if l1.busy_until <= t0 and env.peek() + self._min_latency > t0:
                 t1 = (
                     (t0 + l1link.latency_s * 1.0)
                     + l1link.transmit_time(nbytes) * 1.0
                 )
-                fstats = vfwd.fstats
-                fstats.enqueued += 1
-                if fstats.max_queue_depth < 1:
-                    fstats.max_queue_depth = 1
-                fstats.forwarded += 1
-                fstats.bytes_forwarded += nbytes
-                stats = self.stats
-                stats.record_batches += 1
-                stats.batch_rows += 1
-                if stats.max_batch_rows < 1:
-                    stats.max_batch_rows = 1
-                l1bus = self._l1bus_stats
-                l1bus.published += 1
-                l1bus.bytes_published += nbytes
-                l1bus.delivered += 1
-                l1stats = l1.fstats
-                l1stats.enqueued += 1
-                if l1stats.max_queue_depth < 1:
-                    l1stats.max_queue_depth = 1
-                l1stats.forwarded += 1
-                l1stats.bytes_forwarded += nbytes
-                sbus = self._sbus_stats
-                sbus.published += 1
-                sbus.bytes_published += nbytes
-                sbus.delivered += 1
-                journal = self._journal
-                if journal is not None and trace_id:
-                    journal.admit_at(trace_id, t1)
-                rows = self._rows_fn(shape, values)
-                slab = self._slab
-                slab.extend(rows)
-                self.store.objects_stored += len(rows)
-                if len(slab) >= self._slab_cap:
-                    self._flush_slab()
-                vfwd.busy_until = t0
-                l1.busy_until = t1
-                if t1 > self.last_time:
-                    self.last_time = t1
-                collector = collector_for(env)
-                if collector is not None:
-                    self._fused_telemetry(
-                        collector, vfwd, l1, trace_id, t_pub,
-                        job_id, rank, now, t0, t1,
-                    )
+                self._fuse(
+                    daemon, fwd, l1, shape, values, nbytes,
+                    trace_id, t_pub, job_id, rank, now, t0, t1,
+                )
                 return
+        # Fall through: the real pipeline takes the row, after seeing
+        # every fused transfer still in flight and every fused row's
+        # DSOS insert.
+        self.stats.fall_through += 1
+        self._materialize()
         collector = collector_for(env)
         if collector is not None:
             collector.begin(trace_id, job_id, rank, node, t_begin=t_pub)
-            collector.hop(
-                trace_id, _trace.STAGE_PUBLISH, node, _trace.PUBLISHED, t_in=t_pub
+        daemon.publish_prepaid_message(
+            ColumnarMessage(
+                self.tag, shape, values, None, nbytes,
+                src_node=node, publish_time=t_pub, trace_id=trace_id,
             )
-        if len(vfwd.outbox) < vfwd.capacity:
-            vfwd.outbox.append((trace_id, nbytes, shape, values, now))
-            fwd.stats.enqueued += 1
-            depth = len(vfwd.outbox)
-            if depth > fwd.stats.max_queue_depth:
-                fwd.stats.max_queue_depth = depth
-            if collector is not None:
-                collector.open_hop(trace_id, _trace.STAGE_FORWARD, node)
-                collector.gauge(f"outbox_depth/{node}/{self.tag}", depth)
-        else:
-            fwd.stats.dropped_overflow += 1
-            if collector is not None:
-                collector.hop(
-                    trace_id, _trace.STAGE_FORWARD, node, _trace.DROP_OVERFLOW
-                )
+        )
+
+    def _idle(self) -> bool:
+        """True iff no real spine forwarder holds or awaits traffic."""
+        if self._busy:
+            for fwd in self._forwarders:
+                if fwd._draining or len(fwd.outbox):
+                    return False
+            self._busy = False
+        return True
+
+    def _materialize(self) -> None:
+        """Turn every fused transfer still in flight into engine state
+        and land the slab: the real pipeline takes over from here."""
+        for fwd in self._forwarders:
+            fwd.materialize()
+        self._busy = True
+        self._flush_slab()
+
+    def _fuse(
+        self, daemon, fwd, l1, shape, values, nbytes: int,
+        trace_id: str, t_pub: float, job_id: int, rank: int,
+        now: float, t0: float, t1: float,
+    ) -> None:
+        """Apply one fused row: enqueue → drain → transfer → deliver →
+        transfer → ingest, collapsed to its closed-form instants."""
+        bus_stats = daemon.streams.stats
+        bus_stats.published += 1
+        bus_stats.bytes_published += nbytes
         bus_stats.delivered += 1
+        fstats = fwd.stats
+        fstats.enqueued += 1
+        if fstats.max_queue_depth < 1:
+            fstats.max_queue_depth = 1
+        fstats.forwarded += 1
+        fstats.bytes_forwarded += nbytes
+        self.stats.fused += 1
+        l1bus = self._l1bus_stats
+        l1bus.published += 1
+        l1bus.bytes_published += nbytes
+        l1bus.delivered += 1
+        l1stats = l1.stats
+        l1stats.enqueued += 1
+        if l1stats.max_queue_depth < 1:
+            l1stats.max_queue_depth = 1
+        l1stats.forwarded += 1
+        l1stats.bytes_forwarded += nbytes
+        sbus = self._sbus_stats
+        sbus.published += 1
+        sbus.bytes_published += nbytes
+        sbus.delivered += 1
+        journal = self._journal
+        if journal is not None and trace_id:
+            journal.admit_at(trace_id, t1)
+        rows = self._rows_fn(shape, values)
+        slab = self._slab
+        slab.extend(rows)
+        self.store.objects_stored += len(rows)
+        if len(slab) >= self._slab_cap:
+            self._flush_slab()
+        fwd.busy_until = t0
+        l1.busy_until = t1
+        if t1 > self.last_time:
+            self.last_time = t1
+        collector = collector_for(self.env)
         if collector is not None:
-            collector.hop(trace_id, _trace.STAGE_BUS, node, _trace.DELIVERED)
-        self._kick(vfwd, now, engine_due)
-        if now > self.last_time:
-            self.last_time = now
-
-    def _kick(self, vfwd, t: float, engine_due: bool = False) -> None:
-        """The real forwarder's enqueue kick, at ``t``.
-
-        ``_Forwarder.enqueue`` on an idle hop schedules its drain as a
-        same-instant event, *behind* everything already due at ``t`` —
-        so rows arriving at the identical instant (synchronized ranks,
-        equal-size transfers from several nodes) leave as one batch.
-        Mirrored exactly: while anything else is due at ``t`` (engine
-        events, or earlier virtual entries at ``t``) the drain is a heap
-        marker at ``t``, ordered after them; otherwise it runs now.
-        """
-        if vfwd.pending_drain:
-            return  # a queued marker drains this hop
-        heap = self._heap
-        if vfwd.busy_until <= t and (engine_due or (heap and heap[0][0] <= t)):
-            vfwd.pending_drain = True
-            self._push(t, vfwd, None, 0)
-        else:
-            vfwd.drain(t)
+            self._fused_telemetry(
+                collector, daemon.node.name, trace_id, t_pub,
+                job_id, rank, now, t0, t1,
+            )
 
     def _fused_telemetry(
-        self, collector, vfwd, l1,
+        self, collector, node: str,
         trace_id: str, t_pub: float, job_id: int, rank: int,
         now: float, t0: float, t1: float,
     ) -> None:
         """Exact hop/gauge records for one fused row — the per-trace
-        order and ``t_in``/``t_out`` instants the generic walk emits."""
-        node = vfwd.node
-        l1node = l1.node
+        order and ``t_in``/``t_out`` instants the real pipeline emits."""
+        l1node = self.fabric.l1.node.name
         tag = self.tag
         collector.begin(trace_id, job_id, rank, node, t_begin=t_pub)
         collector.hop(
@@ -623,132 +493,10 @@ class ColumnarSpine:
             t_in=t1, t_out=t1,
         )
 
-    def _complete(self, vfwd, batch: RecordBatch, total: int, t: float) -> None:
-        """A virtual transfer finished at ``t``: deliver, drain again."""
-        if batch is None:
-            # Drain marker: a deferred same-instant kick, or the fused
-            # transfer occupying this hop finished at ``t``; the queued
-            # rows drain now.
-            vfwd.pending_drain = False
-            vfwd.drain(t)
-            return
-        n = len(batch)
-        fwd = vfwd.fwd
-        fwd.stats.forwarded += n
-        fwd.stats.bytes_forwarded += total
-        collector = collector_for(self.env)
-        if collector is not None:
-            self._close_forward_hops(collector, vfwd, batch, t)
-        if vfwd is self._l1:
-            self._ingest(batch, t)
-        else:
-            self.stats.record_batches += 1
-            self.stats.batch_rows += n
-            if n > self.stats.max_batch_rows:
-                self.stats.max_batch_rows = n
-            self._deliver_to_l1(batch, t)
-        vfwd.tracked = False
-        vfwd.drain(t)
-        if t > self.last_time:
-            self.last_time = t
-
-    def _close_forward_hops(self, collector, vfwd, batch, t: float) -> None:
-        node = vfwd.node
-        stage = _trace.STAGE_FORWARD
-        if vfwd is self._l1:
-            # L1 entry times travel with the rows (no collector._open
-            # entry exists for the virtual hop).
-            for tid, t_in in zip(batch.trace_ids, batch.times):
-                collector.hop(tid, stage, node, _trace.FORWARDED, t_in=t_in, t_out=t)
-        else:
-            open_hops = collector._open
-            for tid in batch.trace_ids:
-                t_in = open_hops.pop((tid, stage, node), t)
-                collector.hop(tid, stage, node, _trace.FORWARDED, t_in=t_in, t_out=t)
-
-    def _deliver_to_l1(self, batch: RecordBatch, t: float) -> None:
-        """Group-enqueue at the L1 relay, then one deferred kick.
-
-        Mirrors ``receive_batch``: every row passes through the L1 bus
-        (stats + hops) into the L1 outbox; the kick runs once after
-        the whole group is queued, and behind any other delivery due at
-        ``t`` — the same schedule as the real deferred same-instant
-        kick firing after all n publishes.
-        """
-        l1 = self._l1
-        fwd = l1.fwd
-        bus_stats = fwd.owner.streams.stats
-        node = l1.node
-        collector = collector_for(self.env)
-        gauge_name = f"outbox_depth/{node}/{self.tag}"
-        for i in range(len(batch)):
-            tid = batch.trace_ids[i]
-            nbytes = batch.nbytes[i]
-            bus_stats.published += 1
-            bus_stats.bytes_published += nbytes
-            if len(l1.outbox) < l1.capacity:
-                l1.outbox.append(
-                    (tid, nbytes, batch.shapes[i], batch.values[i], t)
-                )
-                fwd.stats.enqueued += 1
-                depth = len(l1.outbox)
-                if depth > fwd.stats.max_queue_depth:
-                    fwd.stats.max_queue_depth = depth
-                if collector is not None:
-                    collector.gauge(gauge_name, depth)
-            else:
-                fwd.stats.dropped_overflow += 1
-                if collector is not None:
-                    collector.hop(
-                        tid, _trace.STAGE_FORWARD, node,
-                        _trace.DROP_OVERFLOW, t_in=t, t_out=t,
-                    )
-            bus_stats.delivered += 1
-            if collector is not None:
-                collector.hop(
-                    tid, _trace.STAGE_BUS, node, _trace.DELIVERED, t_in=t, t_out=t
-                )
-        self._kick(l1, t)
-
-    def _ingest(self, batch: RecordBatch, t: float) -> None:
-        """Terminal delivery: L2 bus accounting + columnar DSOS ingest.
-
-        The guard pinned the L2 subscriber list to exactly the store's
-        ``on_message``, so delivery is a pure columnar handoff: journal
-        admission in arrival order, shape-compiled row construction
-        (``DsosStreamStore.columnar_rows``), rows into the cross-group
-        slab for one ``insert_many``.
-        """
-        store = self.store
-        bus_stats = store._bus.stats
-        journal = store.journal
-        node = self.fabric.l2.node.name
-        collector = collector_for(self.env)
-        slab = self._slab
-        rows_fn = store.columnar_rows
-        for i in range(len(batch)):
-            tid = batch.trace_ids[i]
-            bus_stats.published += 1
-            bus_stats.bytes_published += batch.nbytes[i]
-            if journal is not None and tid:
-                journal.admit_at(tid, t)
-            rows = rows_fn(batch.shapes[i], batch.values[i])
-            slab.extend(rows)
-            store.objects_stored += len(rows)
-            bus_stats.delivered += 1
-            if collector is not None:
-                collector.hop(
-                    tid, _trace.STAGE_INGEST, node, _trace.STORED, t_in=t, t_out=t
-                )
-                collector.hop(
-                    tid, _trace.STAGE_BUS, node, _trace.DELIVERED, t_in=t, t_out=t
-                )
-
     def _flush_slab(self) -> None:
         slab = self._slab
         if slab:
             self._slab = []
-            self.stats.ingest_flushes += 1
             self.store.client.cluster.insert_many(
                 self.store.schema.name, slab, validate=False
             )
@@ -760,6 +508,5 @@ class ColumnarSpine:
         self.dearm()
 
     def on_subscribe(self, bus, tag: str) -> None:
-        """A new subscriber on a spine bus: de-arm before it attaches
-        (in-flight rows deliver to the topology they were sent into)."""
+        """A new subscriber on a spine bus: de-arm before it attaches."""
         self.dearm()

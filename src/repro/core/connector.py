@@ -54,8 +54,8 @@ class ConnectorConfig:
     #: join deferred) plus coalesced publish (format + send charged in
     #: one engine trip at the exact times the two-trip path computes);
     #: when the world's express spine is armed, events enter it as
-    #: record-batch rows instead of messages.  Simulated results are
-    #: bit-identical either way; False keeps the reference path.
+    #: rows, fused in closed form where uncontended.  Simulated results
+    #: are bit-identical either way; False keeps the reference path.
     fast_lane: bool = True
     #: Spill-to-Darshan-log fallback (the real connector's behaviour
     #: when the local ldmsd is unreachable): events buffer in order,
@@ -261,8 +261,8 @@ class DarshanLdmsConnector:
         ``t_done`` — are computed with the coalesced publish's exact
         float operand order, the engine clock fast-forwards with **zero**
         events when no other process is due in the window, and the
-        event enters the spine's virtual transport as one record-batch
-        row.  That path is a plain call — no generator exists for it;
+        event enters the spine as one row (fused in closed form, or
+        handed to the real forwarders).  That path is a plain call — no generator exists for it;
         this returns ``None`` when the event is fully handled, or a
         generator the caller must drive (a real engine wait, after
         which the spine is *re-checked*: a de-arm during the wait sends

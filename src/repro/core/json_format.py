@@ -274,7 +274,7 @@ class ColumnarFormatted:
     """One event rendered column-wise: the shape, its slot values and
     their string renderings, plus the usual accounting — with the
     payload join and dict materialization deferred.  The fast lane
-    appends these straight into a RecordBatch; the joined payload is
+    hands these straight to the express spine; the joined payload is
     only ever built if something downstream actually reads it."""
 
     __slots__ = (

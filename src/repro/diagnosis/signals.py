@@ -10,8 +10,7 @@ their concatenation:
   standard rule;
 * :data:`~repro.telemetry.collector.HOP_METRICS` — the hop-latency
   histograms;
-* :data:`~repro.dsos.cluster.STORE_METRICS`,
-  :data:`~repro.fleet.probe.PROBE_METRICS`,
+* :data:`~repro.fleet.probe.PROBE_METRICS`,
   :data:`~repro.telemetry.flightrec.RECORDER_METRICS`,
   :data:`~repro.diagnosis.explain.EXPLAIN_METRICS` and
   :data:`~repro.fleet.scorecard.SCORE_METRICS`.
@@ -86,15 +85,14 @@ def default_catalog() -> SignalCatalog:
     from repro.diagnosis.engine import SAMPLED_SERIES
     from repro.diagnosis.explain import EXPLAIN_METRICS
     from repro.diagnosis.rules import ALERT_METRICS
-    from repro.dsos.cluster import STORE_METRICS
     from repro.fleet.probe import PROBE_METRICS
     from repro.fleet.scorecard import SCORE_METRICS
     from repro.telemetry.collector import HOP_METRICS
     from repro.telemetry.flightrec import RECORDER_METRICS
 
     return SignalCatalog(
-        SAMPLED_SERIES + ALERT_METRICS + HOP_METRICS + STORE_METRICS
-        + PROBE_METRICS + RECORDER_METRICS + EXPLAIN_METRICS + SCORE_METRICS
+        SAMPLED_SERIES + ALERT_METRICS + HOP_METRICS + PROBE_METRICS
+        + RECORDER_METRICS + EXPLAIN_METRICS + SCORE_METRICS
     )
 
 

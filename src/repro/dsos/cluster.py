@@ -39,36 +39,8 @@ from repro.dsos.journal import WalRecovery
 from repro.dsos.query import Query
 from repro.dsos.schema import Schema, SchemaError
 from repro.records import frozen_record
-from repro.signals import Signal
 
-__all__ = ["DsosCluster", "IngestAck", "STORE_METRICS", "StoreCensus"]
-
-#: Every store metric family the OpenMetrics exporter emits from a
-#: replicated cluster's :meth:`DsosCluster.stats_snapshot`, as signal
-#: catalog rows.  Per-daemon families carry ``{cluster, daemon, shard}``
-#: labels; cluster-level families carry ``{cluster}`` only.
-STORE_METRICS = (
-    Signal("store_objects", "objects", "gauge", __name__,
-           "objects applied on one dsosd replica"),
-    Signal("store_crashes_total", "crashes", "counter", __name__,
-           "times one dsosd replica crashed (cumulative)"),
-    Signal("store_wal_records_total", "records", "counter", __name__,
-           "WAL records durably appended on one replica (cumulative)"),
-    Signal("store_wal_replayed_total", "records", "counter", __name__,
-           "WAL records replayed across restarts on one replica (cumulative)"),
-    Signal("store_wal_truncated_bytes_total", "bytes", "counter", __name__,
-           "torn-tail bytes truncated at WAL recovery (cumulative)"),
-    Signal("store_repair_pulled_total", "objects", "counter", __name__,
-           "objects pulled from peers by anti-entropy repair (cumulative)"),
-    Signal("store_writes_total", "writes", "counter", __name__,
-           "replicated writes the cluster accepted (cumulative)"),
-    Signal("store_quorum_degraded_total", "writes", "counter", __name__,
-           "writes acked below the write quorum (cumulative)",
-           rule="under_replication"),
-    Signal("store_rejected_writes_total", "writes", "counter", __name__,
-           "writes rejected with no live replica in the shard (cumulative)",
-           rule="under_replication"),
-)
+__all__ = ["DsosCluster", "IngestAck", "StoreCensus"]
 
 
 @frozen_record

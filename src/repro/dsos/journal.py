@@ -142,8 +142,8 @@ class IngestJournal:
         was already admitted.
 
         Untraced messages (empty id) cannot be deduplicated and are
-        always admitted, unlogged.  The express spine lands messages at
-        virtual completion times the engine clock has not necessarily
+        always admitted, unlogged.  The express spine lands fused rows at
+        closed-form delivery instants the engine clock has not necessarily
         reached, so the WAL entry carries the delivery instant it is
         given rather than ``env.now``.
         """

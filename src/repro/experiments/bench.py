@@ -2,14 +2,16 @@
 
 One fixed-seed HMMER campaign (the paper's highest-rate workload,
 Table IIc) driven end to end — Darshan runtime → connector → three-level
-aggregation → DSOS ingest — once per lane, **in the same process** so
-the walls are comparable:
+aggregation → DSOS ingest — once per lane and round, each round in a
+fresh child process of the same interpreter, so walls are comparable
+and every peak RSS belongs to one lane alone:
 
 * ``slow`` — every fast-lane switch off: the per-message reference path.
 * ``fast`` — column-wise template formatting, coalesced publish, batched
   forward delivery and batched DSOS ingest; with the express spine
-  armed (this campaign's inert world arms it), publish→forward→ingest
-  is virtualized so engine events scale with application I/O.
+  armed (this campaign's inert world arms it), every uncontended row's
+  publish→forward→ingest is fused in closed form, so engine events
+  scale with application I/O.
 * ``observed`` — the fast lane in the configuration people leave on:
   telemetry, live diagnosis and the flight recorder, landing in a 2×2
   replicated store (the spine stands down; every hop is a real engine
@@ -32,12 +34,10 @@ The report separates what may differ from what must not:
   counters-not-reset bug; each lane runs a fresh world and connector,
   and ``benchmarks/test_perf_pipeline.py`` pins the per-run freshness.
 
-Peak RSS: ``ru_maxrss`` is a process-lifetime high-water mark, so the
-second lane always inherited the first lane's peak.  Where the kernel
-allows it (``/proc/self/clear_refs``), the watermark is reset before
-each lane and read back from ``VmHWM``, giving a genuinely per-lane
-peak; ``peak_rss_resettable`` records whether that worked (falling back
-to the monotone ``ru_maxrss`` otherwise).
+Peak RSS: ``ru_maxrss`` is a process-lifetime high-water mark, so each
+round runs in a freshly spawned child and reports that child's
+``ru_maxrss`` — interpreter, imports and one lane's campaign, nothing
+inherited from another lane.
 
 Two speedup comparisons matter: the in-process lane ratios
 (machine-independent, what ``bench --check`` regresses against; a
@@ -56,6 +56,7 @@ and ``tests/property/test_columnar_properties`` hold that line, and
 
 from __future__ import annotations
 
+import multiprocessing
 import resource
 import statistics
 import time
@@ -83,7 +84,7 @@ DEFAULT_RESULT_PATH = (
 #: Where dated ``repro bench --json`` snapshots accumulate.
 RESULTS_DIR = DEFAULT_RESULT_PATH.parent / "results"
 
-#: The benchmark lanes (run order: see :func:`pipeline_benchmark`).
+#: The benchmark lanes, in run order within each round.
 LANES = ("slow", "fast", "observed")
 
 
@@ -152,42 +153,14 @@ _SIM_KEYS = (
 )
 
 
-def _reset_peak_rss() -> bool:
-    """Reset the kernel's peak-RSS watermark for this process.
-
-    Writing ``"5"`` to ``/proc/self/clear_refs`` resets ``VmHWM`` (and
-    ``VmPeak``) to current usage, so each lane can report its own peak.
-    Returns False where the knob does not exist (non-Linux, restricted
-    containers) — callers then fall back to the monotone ``ru_maxrss``.
-    """
-    try:
-        with open("/proc/self/clear_refs", "w") as f:
-            f.write("5")
-        return True
-    except OSError:
-        return False
-
-
-def _peak_rss_kib(resettable: bool) -> int:
-    """Current peak RSS in KiB: ``VmHWM`` if per-lane resets work,
-    ``ru_maxrss`` (process-lifetime, KiB on Linux) otherwise."""
-    if resettable:
-        try:
-            with open("/proc/self/status") as f:
-                for line in f:
-                    if line.startswith("VmHWM:"):
-                        return int(line.split()[1])
-        except OSError:
-            pass
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
 def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
     """One full campaign on ``lane``; returns ``(host, simulated)``.
 
     A fresh world and connector per call: nothing host-side carries
     over between lanes (the per-run freshness regression test pins
     this by running one lane twice and demanding identical numbers).
+    ``peak_rss_kib`` is this process's lifetime peak — one lane's peak
+    when the call runs in a fresh child (:func:`_run_lane_in_child`).
     """
     if lane not in LANES:
         raise ValueError(f"unknown bench lane {lane!r} (use one of {LANES})")
@@ -204,7 +177,6 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
             telemetry=True, diagnosis=DiagnosisConfig(), flightrec=True,
             dsos_shards=2, dsos_replication=2,
         )
-    rss_resettable = _reset_peak_rss()
     world = World(WorldConfig(
         seed=seed, quiet=True, n_compute_nodes=2, fast_lane=fast, **observers,
     ))
@@ -221,19 +193,16 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
         "wall_s": round(wall_s, 3),
         "events_per_sec": round(stats.events_seen / wall_s, 1),
         "engine_events": world.env._seq,
-        "peak_rss_kib": _peak_rss_kib(rss_resettable),
-        "peak_rss_resettable": rss_resettable,
+        # KiB on Linux.
+        "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
     if world.spine is not None:
         s = world.spine.stats
         host["spine"] = {
             "armed": world.spine.armed,
             "rows": s.rows,
-            "record_batches": s.record_batches,
-            "batch_rows": s.batch_rows,
-            "mean_batch_rows": round(s.mean_batch_rows, 2),
-            "max_batch_rows": s.max_batch_rows,
-            "ingest_flushes": s.ingest_flushes,
+            "fused": s.fused,
+            "fall_through": s.fall_through,
             "dearms": s.dearms,
         }
     simulated = {
@@ -249,11 +218,18 @@ def _run_lane(*, lane: str, n_families: int, seed: int) -> tuple[dict, dict]:
     return host, simulated
 
 
+def _run_lane_in_child(**kwargs) -> tuple[dict, dict]:
+    """:func:`_run_lane` in a freshly spawned child process."""
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(1) as pool:
+        return pool.apply(_run_lane, kwds=kwargs)
+
+
 def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
     """Run the tracked pipeline benchmark; returns the result payload.
 
-    Runs the slow (reference), fast and observed lanes in this
-    process, :data:`REPEATS` rounds each, and asserts
+    Runs the slow (reference), fast and observed lanes, :data:`REPEATS`
+    rounds each, every round in a fresh child process, and asserts
     the simulated outcomes match: no lane may buy speed with fidelity,
     and no observer may perturb what it observes.
     Each lane reports the median of its runs (wall, hence events/s, and
@@ -262,15 +238,12 @@ def pipeline_benchmark(*, quick: bool = False, seed: int = 42) -> dict:
     n_families = _QUICK_FAMILIES if quick else _FULL_FAMILIES
     runs: dict[str, list[dict]] = {lane: [] for lane in LANES}
     sims: dict[str, dict] = {}
-    # The inert lanes' rounds interleave; the observed lane's come
-    # after them.  A finished observed world leaves the process RSS
-    # above an inert lane's peak, and the per-lane watermark reset can
-    # only lower the peak to the current RSS.
-    order = [lane for _ in range(REPEATS) for lane in LANES[:2]]
-    order += [LANES[2]] * REPEATS
-    for lane in order:
-        host, sims[lane] = _run_lane(lane=lane, n_families=n_families, seed=seed)
-        runs[lane].append(host)
+    for _ in range(REPEATS):
+        for lane in LANES:
+            host, sims[lane] = _run_lane_in_child(
+                lane=lane, n_families=n_families, seed=seed,
+            )
+            runs[lane].append(host)
 
     # Fidelity line: identical simulated results in every lane.
     reference = sims["slow"]

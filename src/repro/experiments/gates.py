@@ -674,8 +674,8 @@ def bench(seed: int = 42, *, quick: bool = False, out: str | None = None,
     with like.  It fails on a >25 % ratio regression (the ratios, not
     the walls, so the check is
     machine-independent) and on any lane whose median peak RSS
-    regressed >25 % (skipped where the kernel offers no per-lane
-    watermark reset).
+    regressed >25 % (each round runs in a fresh child, so every lane's
+    peak is its own).
     """
     import json
     from pathlib import Path
@@ -699,10 +699,8 @@ def bench(seed: int = 42, *, quick: bool = False, out: str | None = None,
                        f"peak_rss_kib={r['peak_rss_kib']}")
         spine = result["fast"].get("spine")
         if spine:
-            out.append(f"  spine: {spine['record_batches']} record batches, "
-                       f"mean {spine['mean_batch_rows']:.1f} rows "
-                       f"(max {spine['max_batch_rows']}), "
-                       f"{spine['ingest_flushes']} ingest flushes, "
+            out.append(f"  spine: {spine['fused']} fused rows, "
+                       f"{spine['fall_through']} fall-through rows, "
                        f"{spine['dearms']} de-arms")
         out.append(f"  speedup (events/s, fast vs slow): "
                    f"{result['speedup_events_per_sec']:.2f}x")
@@ -730,14 +728,11 @@ def bench(seed: int = 42, *, quick: bool = False, out: str | None = None,
             checks.append((result[key] < committed[key] * 0.75,
                            f"{key} {result[key]:.2f}x regressed below 75% "
                            f"of committed {committed[key]:.2f}x"))
-    # Peak RSS only where both runs could reset the per-lane watermark.
     checks += [
         (result[lane]["peak_rss_kib"] > committed[lane]["peak_rss_kib"] * 1.25,
          f"{lane} lane peak RSS {result[lane]['peak_rss_kib']} KiB regressed "
          f">25% over committed {committed[lane]['peak_rss_kib']} KiB")
-        for lane in LANES
-        if result[lane].get("peak_rss_resettable")
-        and committed.get(lane, {}).get("peak_rss_resettable")
+        for lane in LANES if committed
     ]
     ok, lines = verdict("lane ratios and peak RSS within 25% of committed",
                          *checks)

@@ -84,10 +84,10 @@ class WorldConfig:
     forward_queue_depth: int = 65536
     #: Host-side fast lane through the monitoring pipeline (batched
     #: forward delivery + batched DSOS ingest) plus the express spine,
-    #: which virtualizes publish→forward→ingest whenever the world is
-    #: provably inert (no faults/retry/standby/diagnosis/probe/
-    #: recorder/CSV/samplers), so engine events scale with application
-    #: I/O instead of monitoring messages.  Simulated results are
+    #: which fuses uncontended publish→forward→ingest rows in closed
+    #: form whenever the world is provably inert (no faults/retry/
+    #: standby/diagnosis/probe/recorder/CSV/samplers), so engine events
+    #: scale with application I/O instead of monitoring messages.  Simulated results are
     #: identical either way; False keeps the per-message reference path.
     fast_lane: bool = True
     #: Selects nothing (the fast lane always builds the spine, and
@@ -253,7 +253,7 @@ class World:
         # Black-box flight recorder: armed after the fault injector (so
         # the applied-fault feed exists to observe) and before the
         # express spine, whose arming guard must see the recorder's
-        # store ingest observer and refuse to virtualize.
+        # store ingest observer and refuse to arm.
         self.flight_recorder = None
         if config.flightrec:
             from repro.telemetry.flightrec import (
@@ -271,7 +271,7 @@ class World:
 
         # Express spine (fast lane): built last of all so its arming
         # guard sees the finished world.  try_arm refuses whenever
-        # anything could observe the virtualization (and any later
+        # anything could observe the fused rows (and any later
         # guard-breaking mutation de-arms it mid-run), so `spine.armed`
         # is False on every chaos/retry/diagnosis configuration — those
         # worlds run the per-message path, bit-identical either way.
@@ -399,9 +399,9 @@ class World:
         else:
             self.env.run()
             if self.spine is not None:
-                # Virtual completions may lie beyond the last engine
-                # event; land them and move the clock to the instant
-                # the event-driven pipeline would have finished at.
+                # Fused ingest instants may lie beyond the last engine
+                # event; land the slab and move the clock to the
+                # instant the event-driven pipeline would have finished.
                 t_end = self.spine.drain_all()
                 if t_end > self.env.now:
                     if not self.env.advance_if_idle(t_end):

@@ -123,7 +123,17 @@ class _Forwarder:
       Completion instants are float-identical to the reference path;
       only the event *count* differs, so simulated results can diverge
       solely on exact float-time ties.
+
+    The express spine (:mod:`repro.core.batch`) applies uncontended
+    one-row transfers in closed form and stamps the instant each frees
+    this hop on :attr:`busy_until`; :meth:`materialize` turns a stamp
+    still in the future into the engine state the fused transfer would
+    have left.
     """
+
+    #: Express-spine occupancy stamp: the instant a fused transfer
+    #: frees this hop (``-inf`` when none is in flight).
+    busy_until = float("-inf")
 
     def __init__(
         self,
@@ -203,6 +213,29 @@ class _Forwarder:
                         self.owner.node.name,
                         _trace.DROP_OVERFLOW,
                     )
+
+    def materialize(self) -> None:
+        """Make a fused transfer still in flight real engine state.
+
+        The hop counts as draining and holds its link channel; one
+        event at the stamp releases the channel and drains again — what
+        :meth:`_kick`'s completion callback does after a real transfer
+        (the fused row itself was already delivered).
+        """
+        t = self.busy_until
+        self.busy_until = float("-inf")
+        if t <= self.env.now:
+            return
+        link = self.owner.network.links_on_path(
+            self.owner.node.name, self._active_peer.node.name
+        )[0]
+        server = link._server
+        req = server.acquire()
+        self._draining = True
+        done = self.env.timeout_at(t)
+        done.callbacks.append(
+            lambda _ev: (server.release(req), self._kick())
+        )
 
     # -- fast lane: event-callback drive --------------------------------------
 
@@ -462,10 +495,10 @@ class Ldmsd:
     """One LDMS daemon on one node."""
 
     #: Express-spine back-pointer (repro.core.batch).  While an armed
-    #: spine virtualizes this daemon's stream traffic, any publish or
-    #: fault applied through the daemon itself de-arms the spine first —
-    #: queued virtual rows complete delivery, then the per-message path
-    #: handles everything from the mutation on.
+    #: spine fuses this daemon's stream traffic, any foreign publish,
+    #: new forward rule or fault applied through the daemon de-arms the
+    #: spine first — fused transfers in flight become engine state, then
+    #: the per-message path handles everything from the mutation on.
     _express_spine = None
 
     def __init__(
@@ -520,6 +553,10 @@ class Ldmsd:
             raise ValueError("a daemon cannot forward to itself")
         if standby is self:
             raise ValueError("a daemon cannot fail over to itself")
+        for relay in (peer, standby):
+            # Traffic into a spine relay the spine cannot see.
+            if relay is not None and relay._express_spine is not None:
+                relay._express_spine.on_mutation()
         fwd = _Forwarder(
             self.env,
             self,
@@ -666,13 +703,12 @@ class Ldmsd:
     def publish_prepaid_message(self, message) -> int:
         """:meth:`publish_prepaid` for a caller-built message object.
 
-        The fast lane's per-message fallback publishes a lazy
+        The fast lane's per-message path (and the express spine's rows
+        that cannot fuse) publishes a lazy
         :class:`~repro.core.batch.ColumnarMessage` whose payload joins
         only if something downstream reads it; semantics (failure
         check, publish hop, bus delivery) are identical.
         """
-        if self._express_spine is not None:
-            self._express_spine.on_mutation()
         if self._failed:
             self.dropped_while_failed += 1
             self._record_hop(
@@ -718,8 +754,6 @@ class Ldmsd:
 
     def receive(self, message: StreamMessage) -> None:
         """Deliver a forwarded message to this daemon's local bus."""
-        if self._express_spine is not None:
-            self._express_spine.on_mutation()
         if self._failed:
             self.dropped_while_failed += 1
             self._record_hop(
@@ -738,8 +772,6 @@ class Ldmsd:
         window the bus opens around it — batch sinks (the DSOS store)
         buffer their per-message work and flush it once per batch.
         """
-        if self._express_spine is not None:
-            self._express_spine.on_mutation()
         if len(messages) == 1:
             # A batch window around one message buys nothing — skip the
             # begin/flush scaffolding (same failed-daemon check, same

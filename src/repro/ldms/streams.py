@@ -56,9 +56,9 @@ class StreamsBus:
     """Per-daemon pub/sub fabric."""
 
     #: Express-spine back-pointer (repro.core.batch): while an armed
-    #: spine virtualizes traffic over this bus, topology edits must
-    #: de-arm it first so in-flight virtual rows deliver to the
-    #: topology they were sent into.
+    #: spine fuses traffic over this bus, topology edits must de-arm it
+    #: first, so its fused rows stay consistent with the topology they
+    #: were computed against.
     _express_spine = None
 
     def __init__(self):

@@ -2,8 +2,7 @@
 
 Every emitting module declares its signals as a tuple of these rows
 next to the code that emits them — ``SAMPLED_SERIES`` in the diagnosis
-engine, ``STORE_METRICS`` in the DSOS cluster, ``HOP_METRICS`` in the
-trace collector, and so on — and the signal catalog
+engine, ``HOP_METRICS`` in the trace collector, and so on — and the signal catalog
 (:mod:`repro.diagnosis.signals`) is just their concatenation.  This
 module imports nothing from the rest of the package, so the lowest
 layers can declare rows without pulling in the diagnosis stack.

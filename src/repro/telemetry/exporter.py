@@ -89,31 +89,6 @@ def _collect(report, catalog) -> dict[str, list[str]]:
             emit(f"hop_latency_{stage}_count", base, hist.count)
             emit(f"hop_latency_{stage}_sum", base, hist.total)
 
-        # Replicated-store counters, one series per (shard, daemon) —
-        # absent on legacy flat stores, so non-replicated expositions
-        # are byte-identical to the pre-replication format.
-        store = getattr(cluster, "store", None)
-        if store:
-            emit("store_writes_total", base, store["writes"])
-            emit("store_quorum_degraded_total", base,
-                 store["quorum_degraded_writes"])
-            emit("store_rejected_writes_total", base,
-                 store["rejected_writes"])
-            for snap in store["daemons"]:
-                labels = dict(base, daemon=snap["daemon"],
-                              shard=snap["shard"])
-                emit("store_objects", labels, snap["objects_stored"])
-                emit("store_crashes_total", labels, snap["crashes"])
-                if "wal_records" in snap:
-                    emit("store_wal_records_total", labels,
-                         snap["wal_records"])
-                    emit("store_wal_replayed_total", labels,
-                         snap["wal_replayed"])
-                    emit("store_wal_truncated_bytes_total", labels,
-                         snap["wal_truncated_bytes"])
-                    emit("store_repair_pulled_total", labels,
-                         snap["repair_pulled"])
-
         # Flight-recorder self-metrics — absent when the recorder is
         # not armed, so legacy expositions stay byte-identical.
         recorder = getattr(cluster, "recorder", None)

@@ -1,19 +1,21 @@
-"""Unit tests for the columnar record-batch spine building blocks.
+"""Unit tests for the columnar message and the express spine.
 
 Covers the pieces ``tests/property/test_columnar_properties.py`` drives
-only end to end: the RecordBatch columns, the lazy ColumnarMessage view
-(eager vstrs and the lazy re-render fallback), and the virtual
-forwarder's batching edges — a single-event batch and a burst split
-across the ``batch_size`` window.
+only end to end: the lazy ColumnarMessage view (eager vstrs and the
+lazy re-render fallback), the real forwarder's ``batch_size`` window,
+and two timings where a fused row must leave the real forwarders
+exactly as the event-driven lane would — a later, smaller row from
+another node overtaking it at L1, and a de-arm while it is in flight.
 """
 
+import dataclasses
 import json
 
 from repro.core import ConnectorConfig, MessageBuilder
-from repro.core.batch import ColumnarMessage, RecordBatch
+from repro.core.batch import ColumnarMessage
 from repro.core.json_format import ColumnarFormatted
 from repro.darshan.runtime import IOEvent
-from repro.experiments.world import World, WorldConfig
+from repro.experiments.world import STREAM_TAG, World, WorldConfig
 from repro.fs.posix import IOContext
 
 
@@ -35,22 +37,6 @@ def _columnar(event, *, lazy=False):
     formatted = builder.format_columnar(event, lazy=lazy)
     assert type(formatted) is ColumnarFormatted
     return formatted
-
-
-# ------------------------------------------------------------ RecordBatch
-
-
-def test_record_batch_columns():
-    batch = RecordBatch()
-    assert len(batch) == 0 and batch.total_bytes == 0
-    f = _columnar(_event())
-    batch.append("1:0:0", 100, f.shape, f.values, 2.5)
-    batch.append("1:0:1", 250, f.shape, f.values, 3.0)
-    assert len(batch) == 2
-    assert batch.total_bytes == 350
-    assert batch.trace_ids == ["1:0:0", "1:0:1"]
-    assert batch.times == [2.5, 3.0]
-    assert batch.shapes[0] is f.shape
 
 
 # -------------------------------------------------------- ColumnarMessage
@@ -97,50 +83,170 @@ def test_render_meta_matches_render_parts():
         assert chars == len(shape.payload(vstrs))
 
 
-# ------------------------------------------------ virtual forwarder edges
+# ------------------------------------------------- real forwarder edges
 
 
-def _armed_world():
-    world = World(WorldConfig(seed=7, quiet=True, n_compute_nodes=2))
+def _world(*, armed, seed=7):
+    world = World(WorldConfig(
+        seed=seed, quiet=True, n_compute_nodes=2, telemetry=True,
+    ))
     assert world.spine is not None and world.spine.armed
+    if not armed:
+        world.spine.dearm()
     return world
 
 
-def _stuff_rows(world, vfwd, n):
-    f = _columnar(_event())
-    for i in range(n):
-        vfwd.outbox.append((f"77:3:{i}", 100, f.shape, f.values, 0.0))
+def _publish(world, node, nbytes, trace_id, f, rank=3):
+    """One connector-style fast-lane publish at ``env.now``: into the
+    armed spine, else the per-message ColumnarMessage path."""
+    env = world.env
+    daemon = world.fabric.compute_daemons[node]
+    if world.spine.armed:
+        world.spine.append(
+            daemon, f.shape, f.values, nbytes, trace_id, env.now, 77, rank,
+        )
+        return
+    world.telemetry.begin(trace_id, 77, rank, node, t_begin=env.now)
+    daemon.publish_prepaid_message(ColumnarMessage(
+        STREAM_TAG, f.shape, f.values, None, nbytes,
+        src_node=node, publish_time=env.now, trace_id=trace_id,
+    ))
 
 
-def test_single_event_batch_drains_whole():
-    world = _armed_world()
-    spine = world.spine
-    vfwd = next(iter(spine._l0.values()))
-    _stuff_rows(world, vfwd, 1)
-    vfwd.drain(0.0)
-    assert not vfwd.outbox          # the lone row left immediately
-    assert vfwd.tracked             # completion entry on the heap
-    spine.drain_all()
-    assert spine.stats.record_batches >= 1
-    assert spine.stats.max_batch_rows == 1
-    assert world.store.objects_stored == 1
+def _at(world, dt, fn):
+    """Run ``fn()`` in its own engine event ``dt`` seconds from now."""
+    event = world.env.timeout(dt)
+    event.callbacks.append(lambda _ev: fn())
+
+
+def _placement(world):
+    """Every stored row, per dsosd, in insert order."""
+    return [d._shard("darshan_data").objects
+            for d in world.store.client.cluster.daemons]
+
+
+def _hops(world):
+    return {
+        tid: [(h.stage, h.node, h.t_in, h.t_out, h.outcome) for h in tr.hops]
+        for tid, tr in world.telemetry.traces.items()
+    }
 
 
 def test_burst_splits_across_batch_size_window():
-    world = _armed_world()
-    spine = world.spine
-    vfwd = next(iter(spine._l0.values()))
-    cap = vfwd.fwd.batch_size
-    _stuff_rows(world, vfwd, cap + 6)
-    vfwd.drain(0.0)
-    # First window takes exactly batch_size rows; the tail waits for
-    # the transfer to complete.
-    assert len(vfwd.outbox) == 6
-    spine.drain_all()
-    assert not vfwd.outbox
-    assert spine.stats.batch_rows == cap + 6
-    assert spine.stats.max_batch_rows == cap
+    """``batch_size + 6`` rows queued at one instant leave the real
+    forwarder as one full window, then the tail once it completes."""
+    world = _world(armed=False)
+    fwd = world.fabric.compute_daemons["nid00001"]._forwarders[0]
+    cap = fwd.batch_size
+    f = _columnar(_event())
+
+    def burst():
+        for i in range(cap + 6):
+            _publish(world, "nid00001", 100, f"77:3:{i}", f)
+
+    _at(world, 0.0, burst)
+    world.drain()
+    assert fwd.stats.max_queue_depth == cap + 6
+    assert fwd.stats.forwarded == cap + 6
+    departures = {}
+    for hops in _hops(world).values():
+        (t_out,) = [h[3] for h in hops if h[:2] == ("forward", "nid00001")]
+        departures[t_out] = departures.get(t_out, 0) + 1
+    assert sorted(departures.items()) == [
+        (min(departures), cap), (max(departures), 6),
+    ]
     assert world.store.objects_stored == cap + 6
+
+
+def _overtake_run(*, armed):
+    world = _world(armed=armed)
+    f = _columnar(_event())
+    _at(world, 0.0, lambda: _publish(world, "nid00001", 200_000, "77:3:0", f))
+    _at(world, 1e-6, lambda: _publish(world, "nid00002", 100, "77:4:0", f, 4))
+    world.drain()
+    return world
+
+
+def test_a_small_row_from_another_node_overtakes_a_big_one_at_l1():
+    """A big row published first must not claim L1 at publish time: a
+    small row from another node, published 1 us later, reaches L1
+    first and is stored first, as on the event-driven lane."""
+    reference = _overtake_run(armed=False)
+    world = _overtake_run(armed=True)
+    ingest = {
+        tid: [h[2] for h in hops if h[0] == "ingest"][0]
+        for tid, hops in _hops(reference).items()
+    }
+    assert ingest["77:4:0"] < ingest["77:3:0"]  # the small row overtook
+    assert world.spine.armed and world.spine.stats.fall_through == 2
+    assert _hops(world) == _hops(reference)
+    assert _placement(world) == _placement(reference)
+    assert world.env.now == reference.env.now
+
+
+def _mutated_campaign(*, target, nth=None, at=None):
+    """An MPI-IO job whose world takes a no-op guard mutation on
+    ``target``: 1 ps after the ``nth`` spine append (armed spine), or
+    at the instant ``at`` (spine de-armed before the run)."""
+    from random import Random
+
+    from repro.apps import MpiIoTest
+    from repro.experiments import run_job
+
+    world = World(WorldConfig(
+        seed=1337, quiet=True, n_compute_nodes=2, telemetry=True,
+    ))
+    fabric = world.fabric
+    daemon = fabric.l1 if target == "l1" else fabric.compute_daemons[target]
+    instants = []
+
+    def mutate():
+        instants.append(world.env.now)
+        daemon.set_flaky(0.0, "lost", Random(0))
+
+    spine = world.spine
+    if nth is not None:
+        append = spine.append
+
+        def counted(*args):
+            append(*args)
+            if spine.stats.rows == nth:
+                _at(world, 1e-12, mutate)
+
+        spine.append = counted
+    else:
+        spine.dearm()
+        world.env.timeout_at(at).callbacks.append(lambda _ev: mutate())
+    app = MpiIoTest(
+        n_nodes=2, ranks_per_node=4, iterations=4, block_size=2**20,
+        collective=False, sync_per_iteration=False,
+    )
+    run_job(world, app, "nfs", connector_config=ConnectorConfig(),
+            inter_job_gap_s=0.0)
+    assert len(instants) == 1 and spine.stats.dearms == 1
+    return world, instants[0]
+
+
+def _forward_stats(world):
+    fabric = world.fabric
+    return [
+        dataclasses.asdict(f.stats)
+        for d in (*fabric.compute_daemons.values(), fabric.l1)
+        for f in d._forwarders
+    ]
+
+
+def test_dearm_during_a_fused_transfer_keeps_the_hops_occupancy():
+    """A de-arm while fused transfers are in flight must hand their
+    occupancy to the real forwarders: rows published after it queue
+    behind them exactly as on the event-driven lane."""
+    for nth, target in ((4, "l1"), (4, "nid00001"), (7, "l1")):
+        world, t = _mutated_campaign(target=target, nth=nth)
+        reference, _ = _mutated_campaign(target=target, at=t)
+        assert _hops(world) == _hops(reference), (nth, target)
+        assert _forward_stats(world) == _forward_stats(reference)
+        assert _placement(world) == _placement(reference)
+        assert world.env.now == reference.env.now
 
 
 def test_columnar_requires_fast_lane():

@@ -23,17 +23,15 @@ from repro.diagnosis.engine import SAMPLED_SERIES
 def test_default_catalog_is_complete():
     from repro.diagnosis.explain import EXPLAIN_METRICS
     from repro.diagnosis.rules import ALERT_METRICS
-    from repro.dsos.cluster import STORE_METRICS
     from repro.fleet.probe import PROBE_METRICS
     from repro.fleet.scorecard import SCORE_METRICS
     from repro.telemetry.collector import HOP_METRICS
     from repro.telemetry.flightrec import RECORDER_METRICS
 
-    tables = (SAMPLED_SERIES, ALERT_METRICS, HOP_METRICS, STORE_METRICS,
-              PROBE_METRICS, RECORDER_METRICS, EXPLAIN_METRICS,
-              SCORE_METRICS)
+    tables = (SAMPLED_SERIES, ALERT_METRICS, HOP_METRICS, PROBE_METRICS,
+              RECORDER_METRICS, EXPLAIN_METRICS, SCORE_METRICS)
     catalog = default_catalog()
-    assert len(catalog) == sum(len(t) for t in tables) == 61
+    assert len(catalog) == sum(len(t) for t in tables) == 52
     for table in tables:
         for signal in table:
             assert catalog.get(signal.name) is signal
@@ -48,7 +46,6 @@ def test_catalog_covers_every_registry():
     assert "probe_latency_s" in names        # PROBE_METRICS
     assert "health_score" in names           # scorecard
     assert "score_deduction_probes" in names  # COMPONENT_WEIGHTS
-    assert "store_wal_replayed_total" in names  # STORE_METRICS
     assert "alert_under_replication" in names  # replication rules
     assert "flightrec_captured_total" in names  # RECORDER_METRICS
 
@@ -57,7 +54,7 @@ def test_kind_census():
     by_kind = {}
     for signal in default_catalog():
         by_kind[signal.kind] = by_kind.get(signal.kind, 0) + 1
-    assert by_kind == {"counter": 20, "gauge": 17, "histogram": 6,
+    assert by_kind == {"counter": 12, "gauge": 16, "histogram": 6,
                        "alert": 12, "score": 6}
 
 
@@ -163,7 +160,7 @@ def test_iteration_and_lookup():
 
 def test_to_rows_sorted_by_kind_then_name():
     rows = default_catalog().to_rows()
-    assert len(rows) == 61
+    assert len(rows) == 52
     keys = [(r["kind"], r["name"]) for r in rows]
     assert keys == sorted(keys)
     # Un-ruled signals render a dash, not an empty cell.

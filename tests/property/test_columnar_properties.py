@@ -1,9 +1,9 @@
 """The express spine's correctness pin: batch speed without divergence.
 
 The fast lane renders events column-wise and, when the world's express
-spine is armed, virtualizes publish→forward→ingest outright.  It claims
-that neither is visible to the simulation.  These tests hold that line
-five ways:
+spine is armed, applies uncontended publish→forward→ingest rows in
+closed form.  It claims that neither is visible to the simulation.
+These tests hold that line six ways:
 
 * property tests over random events — the fast serializer's lazy
   accounting (numeric conversions, payload chars, cost) equals the
@@ -17,8 +17,12 @@ five ways:
 * a de-armed run (foreign L2 subscriber) — the per-message fallback
   produces the byte-identical payload stream of the event-driven fast
   lane and the armed spine's stats, rows and clock;
-* same-instant publishes (synchronized MPI-IO ranks) — the spine
-  batches them exactly as the real forwarders' deferred kicks do;
+* same-instant publishes (synchronized MPI-IO ranks) — the rows that
+  cannot fuse batch in the real forwarders exactly as on the
+  event-driven lane;
+* generated publish schedules (ties, sub-microsecond gaps, payloads
+  far past typical, an optional mid-run de-arm) — armed ≡ de-armed on
+  hops, forward stats, per-dsosd rows and the clock;
 * chaos — a full fault campaign (daemon crash mid-burst, partition,
   slow store, retry, standby, spill/replay) never arms the spine,
   reconciles exactly, and matches the slow lane's connector counters
@@ -191,9 +195,87 @@ def test_same_instant_publishes_batch_like_the_event_driven_lane():
     armed spine must batch them identically."""
     event_driven, reference = _synchronized_campaign(dearm=True)
     world, armed = _synchronized_campaign(dearm=False)
-    assert world.spine.armed and world.spine.stats.max_batch_rows > 1
+    assert world.spine.armed and world.spine.stats.fall_through > 0
+    # The rows that could not fuse really batched: some real forwarder
+    # held more than one row in its outbox at once.
+    assert max(f["max_queue_depth"] for f in armed["forward"]) > 1
     for key in ("health", "hops", "forward"):
         assert armed[key] == reference[key], key
+
+
+# ------------------------------------------ generated publish schedules
+
+_NODES = ("nid00001", "nid00002", "nid00003")
+
+
+@st.composite
+def _schedules(draw):
+    """Rows (node, gap to the previous row, payload bytes) plus an
+    optional mid-run de-arm offset.  Gaps include exact ties and
+    sub-microsecond spacing; sizes run from typical HMMER payloads to
+    transfers thousands of times longer."""
+    gap = st.one_of(
+        st.sampled_from([0.0, 1e-9, 4e-7]), st.floats(0.0, 1e-3),
+        st.floats(3e-4, 3e-3),
+    )
+    size = st.one_of(
+        st.integers(200, 700), st.sampled_from([20_000, 200_000, 2_000_000]),
+    )
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(_NODES), gap, size),
+        min_size=1, max_size=40,
+    ))
+    dearm_at = draw(st.none() | st.floats(0.0, 5e-3))
+    return rows, dearm_at
+
+
+def _schedule_run(rows, dearm_at, *, armed):
+    """Publish ``rows`` at their instants, each in its own engine event
+    (the way I/O completions drive the connector)."""
+    from tests.core.test_batch import (
+        _columnar, _event, _forward_stats, _hops, _placement, _publish,
+    )
+
+    world = World(WorldConfig(
+        seed=3, quiet=True, n_compute_nodes=3, telemetry=True,
+    ))
+    if not armed:
+        world.spine.dearm()
+    env = world.env
+    f = _columnar(_event())
+    t = env.now
+    for i, (node, gap, nbytes) in enumerate(rows):
+        t += gap
+        env.timeout_at(t).callbacks.append(
+            lambda _ev, node=node, nbytes=nbytes, i=i: _publish(
+                world, node, nbytes, f"77:{_NODES.index(node)}:{i}", f,
+            )
+        )
+    if dearm_at is not None:
+        env.timeout_at(env.now + dearm_at).callbacks.append(
+            lambda _ev: world.spine.dearm()
+        )
+    world.drain()
+    return {
+        "hops": _hops(world),
+        "forward": _forward_stats(world),
+        "placement": _placement(world),
+        "stored": world.store.objects_stored,
+        "now": env.now,
+    }
+
+
+@given(schedule=_schedules())
+@settings(max_examples=60, deadline=None)
+def test_generated_schedules_match_the_event_driven_lane(schedule):
+    """Armed ≡ de-armed before the run, on any publish schedule: hop
+    traces, forward stats, stored rows and their per-dsosd placement,
+    and the final clock — with or without a de-arm mid-run."""
+    rows, dearm_at = schedule
+    armed = _schedule_run(rows, dearm_at, armed=True)
+    reference = _schedule_run(rows, dearm_at, armed=False)
+    assert armed == reference
+    assert armed["stored"] == len(rows)
 
 
 # --------------------------------------------------------------- chaos

@@ -480,7 +480,7 @@ def test_repro_check_runs_named_gates(capsys):
     assert repro_main(["check", "fleet-catalog", "profile"]) == 0
     out = capsys.readouterr().out
     assert "== profile ==" in out and "== fleet-catalog ==" in out
-    assert "OK: 61 signals; every rule link names a standard rule" in out
+    assert "OK: 52 signals; every rule link names a standard rule" in out
     assert out.rstrip().endswith("OK: 2 gate run(s) passed")
 
 
@@ -562,8 +562,8 @@ def test_repro_cli_version(capsys):
 def test_repro_cli_fleet_catalog_check(capsys):
     assert repro_main(["fleet", "--catalog", "--check"]) == 0
     out = capsys.readouterr().out
-    assert "== signal catalog (61 signals) ==" in out
-    assert "OK: 61 signals; every rule link names a standard rule" in out
+    assert "== signal catalog (52 signals) ==" in out
+    assert "OK: 52 signals; every rule link names a standard rule" in out
 
 
 def test_repro_cli_fleet_catalog_json(capsys):
@@ -572,7 +572,7 @@ def test_repro_cli_fleet_catalog_json(capsys):
     assert repro_main(["fleet", "--catalog", "--json"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)
-    assert payload["count"] == len(payload["signals"]) == 61
+    assert payload["count"] == len(payload["signals"]) == 52
     assert set(payload) == {"count", "signals"}
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -608,7 +608,7 @@ def test_repro_cli_fleet_scan_check(capsys):
     out = capsys.readouterr().out
     assert "== fleet readiness ==" in out
     assert "== attaway: scorecard" in out
-    assert "== signal catalog (61 signals) ==" in out
+    assert "== signal catalog (52 signals) ==" in out
     assert ("OK: 3 scorecards reconcile exactly; chaos faults deducted "
             "via matching components") in out
 

@@ -83,11 +83,11 @@ def test_fleet_console_runs(capsys):
     out = capsys.readouterr().out
     assert "== fleet readiness ==" in out
     assert "== attaway: scorecard" in out
-    assert "== signal catalog (61 signals) ==" in out
+    assert "== signal catalog (52 signals) ==" in out
     assert "fleet ready: False" in out
     assert "worst: attaway" in out
     assert "OpenMetrics exposition:" in out
-    assert "61 catalogued signals" in out
+    assert "52 catalogued signals" in out
 
 
 def test_explain_bottleneck_runs(capsys):

@@ -117,8 +117,8 @@ def test_unknown_cluster_raises_keyerror(console):
 
 def test_catalog_page_reports_complete(console):
     (panel,) = console.catalog_panels()
-    assert panel.title == "signal catalog (61 signals)"
-    assert len(panel.payload) == 61
+    assert panel.title == "signal catalog (52 signals)"
+    assert len(panel.payload) == 52
 
 
 def test_panels_order_overview_drilldowns_catalog(console):
@@ -135,7 +135,7 @@ def test_render_text_contains_every_page(console):
     text = console.render_text(width=100)
     assert "== fleet readiness ==" in text
     assert "== beta: scorecard (60/100, grade C) ==" in text
-    assert "== signal catalog (61 signals) ==" in text
+    assert "== signal catalog (52 signals) ==" in text
     assert "STRAGGLER" not in text and "LOST" in text
 
 
